@@ -50,7 +50,10 @@ import numpy as np
 
 from repro import obs
 from repro.config.configuration import PROFILING_CONFIG, MicroarchConfig
-from repro.control.accounting import charge_reconfiguration
+from repro.control.accounting import (
+    ReconfigurationCharge,
+    charge_reconfiguration,
+)
 from repro.control.arena.policy import (
     AdaptivityPolicy,
     PolicyDecision,
@@ -331,6 +334,8 @@ class Arena:
                           EfficiencyResult] = {}
         self._costs: dict[tuple[MicroarchConfig, MicroarchConfig],
                           ReconfigurationCost] = {}
+        self._charges: dict[tuple[MicroarchConfig, MicroarchConfig, str,
+                                  ArenaScenario], ReconfigurationCharge] = {}
 
     # -- memoised per-interval state -----------------------------------------
 
@@ -409,18 +414,30 @@ class Arena:
 
     # -- charging -------------------------------------------------------------
 
+    def _switch_charge(self, source: MicroarchConfig,
+                       target: MicroarchConfig, program: str,
+                       scenario: ArenaScenario) -> ReconfigurationCharge:
+        """The overhead billed for a ``source`` → ``target`` switch in
+        ``program`` under ``scenario`` — memoised."""
+        key = (source, target, program, scenario)
+        charge = self._charges.get(key)
+        if charge is None:
+            charge = charge_reconfiguration(
+                self._cost(source, target), target,
+                self.programs[program].interval_length,
+                self.paper_interval_instructions,
+                scenario.overhead_multiplier,
+            )
+            self._charges[key] = charge
+        return charge
+
     def _charge(self, record: IntervalRecord, source: MicroarchConfig,
                 target: MicroarchConfig, program: str,
                 scenario: ArenaScenario) -> None:
         """Bill ``record`` for a ``source`` → ``target`` switch."""
-        cost = self._cost(source, target)
         record.reconfigured = True
         if scenario.overheads_enabled:
-            charge = charge_reconfiguration(
-                cost, target, self.programs[program].interval_length,
-                self.paper_interval_instructions,
-                scenario.overhead_multiplier,
-            )
+            charge = self._switch_charge(source, target, program, scenario)
             record.stall_ns = charge.stall_ns
             record.reconfig_energy_pj = charge.energy_pj
 
@@ -551,40 +568,51 @@ class Arena:
         if not pool:
             raise ValueError("oracle needs at least one configuration")
         n = self._intervals(program)
-        interval_length = self.programs[program].interval_length
-
-        def reward_at(interval: int, config: MicroarchConfig,
-                      source: MicroarchConfig | None) -> float:
-            result = self.evaluate(program, interval, config)
-            stall_ns = 0.0
-            extra_pj = 0.0
-            if (source is not None and source != config
-                    and scenario.overheads_enabled):
-                charge = charge_reconfiguration(
-                    self._cost(source, config), config, interval_length,
-                    self.paper_interval_instructions,
-                    scenario.overhead_multiplier)
-                stall_ns = charge.stall_ns
-                extra_pj = charge.energy_pj
-            return interval_reward(result.time_ns + stall_ns,
-                                   result.energy_pj * 1e12 + extra_pj,
-                                   result.instructions)
+        configs_ix = range(len(pool))
 
         with obs.span("arena.oracle", program=program,
                       scenario=scenario.name, configs=len(pool)):
-            best = [reward_at(0, config, None) for config in pool]
+            # Each (interval, config) result and its uncharged reward, and
+            # each switch charge, once; the DP then only adds them up.
+            facts = []
+            for interval in range(n):
+                row = []
+                for config in pool:
+                    result = self.evaluate(program, interval, config)
+                    energy_pj = result.energy_pj * 1e12
+                    row.append((result.time_ns, energy_pj,
+                                result.instructions,
+                                interval_reward(result.time_ns, energy_pj,
+                                                result.instructions)))
+                facts.append(row)
+            charges = [
+                [self._switch_charge(source, target, program, scenario)
+                 if scenario.overheads_enabled and source != target else None
+                 for source in pool]
+                for target in pool
+            ]
+
+            best = [free for _, _, _, free in facts[0]]
             back: list[list[int]] = []
             for interval in range(1, n):
-                scores = [
-                    [best[s] + reward_at(interval, config, pool[s])
-                     for s in range(len(pool))]
-                    for config in pool
-                ]
-                step_back = [int(np.argmax(row)) for row in scores]
-                best = [scores[c][step_back[c]] for c in range(len(pool))]
+                step_back = []
+                step_best = []
+                for c in configs_ix:
+                    time_ns, energy_pj, instructions, free = facts[interval][c]
+                    scores = [
+                        best[s] + (free if charge is None else interval_reward(
+                            time_ns + charge.stall_ns,
+                            energy_pj + charge.energy_pj, instructions))
+                        for s, charge in enumerate(charges[c])
+                    ]
+                    # First maximum, as np.argmax picks.
+                    choice = max(configs_ix, key=scores.__getitem__)
+                    step_back.append(choice)
+                    step_best.append(scores[choice])
+                best = step_best
                 back.append(step_back)
 
-            path = [int(np.argmax(best))]
+            path = [max(configs_ix, key=best.__getitem__)]
             for step_back in reversed(back):
                 path.append(step_back[path[-1]])
             path.reverse()

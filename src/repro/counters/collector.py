@@ -257,9 +257,9 @@ def _cache_counters(blocks: np.ndarray, n_sets_profiling: int,
     def warmed(distances: np.ndarray, infinite: int) -> np.ndarray:
         return np.where(distances < 0, max(infinite, 1), distances)
 
-    n_distinct = len(np.unique(blocks)) if len(blocks) else 1
-    stack = log2_histogram(
-        warmed(stack_distances(blocks), n_distinct), _MAX_DISTANCE)
+    distances = stack_distances(blocks)
+    n_distinct = int(np.count_nonzero(distances < 0))  # one cold access each
+    stack = log2_histogram(warmed(distances, n_distinct), _MAX_DISTANCE)
     block_reuse = log2_histogram(
         warmed(block_reuse_distances(blocks), len(blocks)), _MAX_DISTANCE)
     set_reuse = log2_histogram(

@@ -7,16 +7,19 @@ width) and the BTB from 1K to 4K entries.  A fetched branch is considered
 but misses in the BTB (no target to redirect to).
 
 Besides the stateful predictor used by the cycle-level core, this module
-provides batch simulation helpers used by the trace characterisation of
-:mod:`repro.timing.interval` (mispredict rate as a function of predictor
-size) and by the counter machinery (BTB reuse distances).
+provides replay helpers used by the trace characterisation of
+:mod:`repro.timing.characterize` (mispredict rate as a function of
+predictor size).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["GshareBTB", "simulate_gshare", "simulate_btb"]
+from repro.timing.caches import previous_access
+
+__all__ = ["GshareBTB", "btb_misses", "gshare_misses", "simulate_gshare",
+           "simulate_btb"]
 
 
 class GshareBTB:
@@ -91,54 +94,92 @@ class GshareBTB:
         return mispredict
 
 
+def _check_stream(pcs: np.ndarray, taken: np.ndarray) -> None:
+    if len(pcs) != len(taken):
+        raise ValueError("pcs and taken must have equal length")
+
+
+def gshare_misses(pcs: np.ndarray, taken: np.ndarray, entries: int,
+                  split: int = 0) -> tuple[int, int]:
+    """Direction mispredictions of a gshare of ``entries`` two-bit
+    counters replayed over a branch stream from a cold table.
+
+    Returns the misses among the first ``split`` branches and the misses
+    over the whole stream.  Replaying a warm-up stream followed by a
+    measured stream thus also yields the warm-up stream's own count: its
+    replay is exactly the joint replay's prefix.
+
+    The global history only shifts in outcomes, so every branch's
+    pattern-table index is computed as an array up front; only the
+    saturating-counter updates run in order, over Python ints.
+    """
+    _check_stream(pcs, taken)
+    if entries < 1 or split < 0:
+        raise ValueError("entries must be positive and split non-negative")
+    n = len(pcs)
+    mask = entries - 1
+    outcomes = np.asarray(taken, dtype=bool)
+    bits = outcomes.astype(np.int64)
+    # (h << 1 | outcome) & mask keeps an outcome only while it stays below
+    # the lowest clear bit of mask: history bit j is the outcome j + 1
+    # branches back.
+    history = np.zeros(n, dtype=np.int64)
+    for j in range(min(((mask + 1) & ~mask).bit_length() - 1, n - 1)):
+        history[j + 1:] |= bits[:n - j - 1] << j
+    slots = (((np.asarray(pcs).astype(np.int64) >> 2) ^ history)
+             & mask).tolist()
+    outcome_list = outcomes.tolist()
+    pht = [2] * entries
+    wrong = 0
+    counts = []
+    for lo, hi in ((0, min(split, n)), (min(split, n), n)):
+        for slot, outcome in zip(slots[lo:hi], outcome_list[lo:hi]):
+            counter = pht[slot]
+            if outcome:
+                if counter < 2:
+                    wrong += 1
+                if counter < 3:
+                    pht[slot] = counter + 1
+            else:
+                if counter >= 2:
+                    wrong += 1
+                if counter > 0:
+                    pht[slot] = counter - 1
+        counts.append(wrong)
+    return counts[0], counts[1]
+
+
+def btb_misses(pcs: np.ndarray, taken: np.ndarray, entries: int,
+               split: int = 0) -> tuple[int, int]:
+    """Taken branches missing a direct-mapped BTB of ``entries`` entries,
+    replayed from empty: among the first ``split`` branches, and over the
+    whole stream.
+
+    Only taken branches look up and fill the BTB, so one misses iff the
+    previous taken branch on its entry had another PC, or there was none.
+    """
+    _check_stream(pcs, taken)
+    taken = np.asarray(taken, dtype=bool)
+    taken_pcs = np.asarray(pcs).astype(np.int64)[taken]
+    prev = previous_access((taken_pcs >> 2) & (entries - 1))
+    miss = (prev < 0) | (taken_pcs[np.maximum(prev, 0)] != taken_pcs)
+    taken_split = int(np.count_nonzero(taken[:split]))
+    return (int(np.count_nonzero(miss[:taken_split])),
+            int(np.count_nonzero(miss)))
+
+
 def simulate_gshare(
     pcs: np.ndarray, taken: np.ndarray, entries: int
 ) -> float:
     """Direction mispredict *rate* of a gshare of ``entries`` counters over
-    a branch stream.  Used by the trace characterisation."""
-    if len(pcs) != len(taken):
-        raise ValueError("pcs and taken must have equal length")
-    if len(pcs) == 0:
-        return 0.0
-    mask = entries - 1
-    history_mask = mask
-    pht = np.full(entries, 2, dtype=np.int8)
-    history = 0
-    wrong = 0
-    shifted = (pcs.astype(np.int64) >> 2)
-    for i in range(len(pcs)):
-        index = (int(shifted[i]) ^ history) & mask
-        counter = pht[index]
-        outcome = bool(taken[i])
-        if (counter >= 2) != outcome:
-            wrong += 1
-        if outcome:
-            if counter < 3:
-                pht[index] = counter + 1
-        elif counter > 0:
-            pht[index] = counter - 1
-        history = ((history << 1) | int(outcome)) & history_mask
-    return wrong / len(pcs)
+    a branch stream (0.0 for an empty stream)."""
+    _, wrong = gshare_misses(pcs, taken, entries)
+    return wrong / len(pcs) if len(pcs) else 0.0
 
 
 def simulate_btb(pcs: np.ndarray, taken: np.ndarray, entries: int) -> float:
     """Fraction of *taken* branches missing a direct-mapped BTB of
-    ``entries`` entries (1.0 if the stream has no taken branches is 0.0)."""
-    if len(pcs) != len(taken):
-        raise ValueError("pcs and taken must have equal length")
-    mask = entries - 1
-    tags: dict[int, int] = {}
-    misses = 0
-    taken_count = 0
-    for i in range(len(pcs)):
-        pc = int(pcs[i])
-        if not taken[i]:
-            continue
-        taken_count += 1
-        index = (pc >> 2) & mask
-        if tags.get(index) != pc:
-            misses += 1
-        tags[index] = pc
-    if taken_count == 0:
-        return 0.0
-    return misses / taken_count
+    ``entries`` entries (0.0 if the stream has no taken branches)."""
+    _, misses = btb_misses(pcs, taken, entries)
+    taken_count = int(np.count_nonzero(taken))
+    return misses / taken_count if taken_count else 0.0

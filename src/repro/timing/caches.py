@@ -26,6 +26,7 @@ __all__ = [
     "Cache",
     "CacheHierarchy",
     "AccessResult",
+    "previous_access",
     "stack_distances",
     "block_reuse_distances",
     "set_reuse_distances",
@@ -148,59 +149,77 @@ class CacheHierarchy:
 # ---------------------------------------------------------------------------
 
 
+def previous_access(keys: np.ndarray) -> np.ndarray:
+    """Index of the previous occurrence of each key (-1 = first).
+
+    A stable sort groups equal keys in access order, so each access's
+    predecessor within its group is its previous occurrence.
+    """
+    keys = np.asarray(keys)
+    prev = np.full(len(keys), -1, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeat = ordered[1:] == ordered[:-1]
+    prev[order[1:][repeat]] = order[:-1][repeat]
+    return prev
+
+
+def _count_earlier_smaller(values: np.ndarray) -> np.ndarray:
+    """``#{s < t : values[s] < values[t]}`` for every ``t``.
+
+    ``values`` are non-negative integers.  A wavelet matrix answers every
+    query at once, one bit level per pass from the top: at each level the
+    values are stably partitioned by that bit (zeros first), and a query
+    whose own value has the bit set counts the zeros of its current range
+    and follows the ones, otherwise it follows the zeros.
+    """
+    n = len(values)
+    queries = values  # ``values`` is re-partitioned at every level
+    counts = np.zeros(n, dtype=np.int64)
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.arange(n, dtype=np.int64)  # query t ranges over [0, t)
+    zeros = np.zeros(n + 1, dtype=np.int64)
+    for level in range(int(values.max(initial=0)).bit_length() - 1, -1, -1):
+        bits = (values >> level) & 1
+        np.cumsum(1 - bits, out=zeros[1:])
+        zeros_lo = zeros[lo]
+        zeros_hi = zeros[hi]
+        ones = ((queries >> level) & 1).astype(bool)
+        counts += np.where(ones, zeros_hi - zeros_lo, 0)
+        lo = np.where(ones, zeros[-1] + lo - zeros_lo, zeros_lo)
+        hi = np.where(ones, zeros[-1] + hi - zeros_hi, zeros_hi)
+        values = np.concatenate([values[bits == 0], values[bits == 1]])
+    return counts
+
+
 def stack_distances(blocks: np.ndarray) -> np.ndarray:
     """LRU stack distance of each access in a block-id stream.
 
     The stack distance of an access is the number of *distinct* blocks
     referenced since the previous access to the same block; first touches
-    get distance -1 (cold).  O(N log N) via a Fenwick tree over access
-    times.
+    get distance -1 (cold).
+
+    Between an access at ``t`` and its previous occurrence ``p``, each
+    distinct block is counted once at its first access after ``p``, i.e.
+    at the ``s`` in ``(p, t)`` whose own previous occurrence is before
+    ``p``.  Every ``s <= p`` has its previous occurrence before ``p``, so
+    the distance is ``#{s < t : prev[s] < p} - (p + 1)``: one offline
+    dominance count, O(N log N).
     """
-    n = len(blocks)
-    out = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return out
-    tree = np.zeros(n + 1, dtype=np.int64)
-
-    def tree_add(i: int, delta: int) -> None:
-        i += 1
-        while i <= n:
-            tree[i] += delta
-            i += i & (-i)
-
-    def tree_sum(i: int) -> int:  # prefix sum of [0, i]
-        i += 1
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return int(total)
-
-    last_seen: dict[int, int] = {}
-    for t in range(n):
-        block = int(blocks[t])
-        prev = last_seen.get(block)
-        if prev is None:
-            out[t] = -1
-        else:
-            out[t] = tree_sum(t - 1) - tree_sum(prev)
-            tree_add(prev, -1)
-        tree_add(t, 1)
-        last_seen[block] = t
+    prev = previous_access(blocks)
+    out = np.full(len(prev), -1, dtype=np.int64)
+    warm = np.flatnonzero(prev >= 0)
+    if len(warm):
+        below = _count_earlier_smaller(prev + 1)
+        out[warm] = below[warm] - prev[warm] - 1
     return out
 
 
 def block_reuse_distances(blocks: np.ndarray) -> np.ndarray:
     """Accesses since the previous access to the same block (-1 = cold)."""
-    n = len(blocks)
-    out = np.empty(n, dtype=np.int64)
-    last_seen: dict[int, int] = {}
-    for t in range(n):
-        block = int(blocks[t])
-        prev = last_seen.get(block)
-        out[t] = -1 if prev is None else t - prev - 1
-        last_seen[block] = t
-    return out
+    prev = previous_access(blocks)
+    gaps = np.arange(len(prev), dtype=np.int64) - prev - 1
+    return np.where(prev >= 0, gaps, -1)
 
 
 def set_reuse_distances(blocks: np.ndarray, n_sets: int) -> np.ndarray:
@@ -212,15 +231,7 @@ def set_reuse_distances(blocks: np.ndarray, n_sets: int) -> np.ndarray:
     """
     if n_sets <= 0:
         raise ValueError("n_sets must be positive")
-    n = len(blocks)
-    out = np.empty(n, dtype=np.int64)
-    last_seen: dict[int, int] = {}
-    for t in range(n):
-        set_id = int(blocks[t]) % n_sets
-        prev = last_seen.get(set_id)
-        out[t] = -1 if prev is None else t - prev - 1
-        last_seen[set_id] = t
-    return out
+    return block_reuse_distances(np.asarray(blocks) % n_sets)
 
 
 def miss_ratio_curve(

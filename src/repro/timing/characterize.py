@@ -21,12 +21,14 @@ parameters interact with:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.config.parameters import parameter_by_name
-from repro.timing.branch import simulate_btb, simulate_gshare
+from repro.timing.branch import btb_misses, gshare_misses
 from repro.timing.caches import smoothed_miss_curve, stack_distances
 from repro.timing.resources import CACHE_BLOCK_BYTES, OpClass
 from repro.workloads.trace import Trace
@@ -38,6 +40,11 @@ WINDOW_GRID: tuple[int, ...] = (4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 160, 224)
 
 #: Nominal load latency used for the load-weighted critical path.
 _NOMINAL_LOAD_WEIGHT = 4.0
+
+#: Chunk length of the critical-path DP: the grid's least common multiple
+#: (13440), so chunk edges are block edges of every window.  It bounds the
+#: DP's arrays at about 160k rows, some 16 MB, whatever the trace length.
+_CHUNK = math.lcm(*WINDOW_GRID)
 
 
 @dataclass(frozen=True)
@@ -114,64 +121,109 @@ class TraceCharacterization:
         )
 
 
-def _critical_paths(trace: Trace) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Mean critical-path depths of windows of each WINDOW_GRID size."""
+def _critical_paths(
+    trace: Trace,
+) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
+    """Mean critical-path depths of the full blocks of each window size.
+
+    Only windows that hold at least one full block of the trace are
+    reported (the whole trace is the one window of a trace shorter than
+    the smallest grid size), so the curve never contains an empty mean.
+    Long traces are cut into chunks of :data:`_CHUNK` instructions, a
+    multiple of every window, so no block straddles two chunks.
+    """
     n = len(trace)
-    ops = trace.ops
-    src1 = trace.src1
-    src2 = trace.src2
-    is_load = (ops == OpClass.LOAD)
-    path_ops: list[float] = []
-    path_weighted: list[float] = []
-    src1_list = src1.tolist()
-    src2_list = src2.tolist()
-    load_list = is_load.tolist()
-    for w in WINDOW_GRID:
-        total_ops = 0.0
-        total_weighted = 0.0
-        blocks = 0
-        for start in range(0, n - w + 1, w):
-            depth_ops = [0.0] * w
-            depth_weighted = [0.0] * w
-            max_ops = 0.0
-            max_weighted = 0.0
-            for j in range(w):
-                i = start + j
-                weight = _NOMINAL_LOAD_WEIGHT if load_list[i] else 1.0
-                best_o = 0.0
-                best_w = 0.0
-                d1 = src1_list[i]
-                if d1 and d1 <= j:
-                    best_o = depth_ops[j - d1]
-                    best_w = depth_weighted[j - d1]
-                d2 = src2_list[i]
-                if d2 and d2 <= j:
-                    o = depth_ops[j - d2]
-                    if o > best_o:
-                        best_o = o
-                    v = depth_weighted[j - d2]
-                    if v > best_w:
-                        best_w = v
-                o = best_o + 1.0
-                v = best_w + weight
-                depth_ops[j] = o
-                depth_weighted[j] = v
-                if o > max_ops:
-                    max_ops = o
-                if v > max_weighted:
-                    max_weighted = v
-            total_ops += max_ops
-            total_weighted += max_weighted
-            blocks += 1
-        path_ops.append(total_ops / max(blocks, 1))
-        path_weighted.append(total_weighted / max(blocks, 1))
-    return tuple(path_ops), tuple(path_weighted)
+    windows = np.array([w for w in WINDOW_GRID if w <= n] or [n])
+    is_load = trace.ops == OpClass.LOAD
+    totals = np.zeros((len(windows), 2))
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        totals += _block_peak_sums(trace.src1[start:stop],
+                                   trace.src2[start:stop],
+                                   is_load[start:stop], windows)
+    blocks = n // windows
+    return (tuple(windows.tolist()),
+            tuple((totals[:, 0] / blocks).tolist()),
+            tuple((totals[:, 1] / blocks).tolist()))
+
+
+def _block_peak_sums(src1: np.ndarray, src2: np.ndarray, is_load: np.ndarray,
+                     windows: np.ndarray) -> np.ndarray:
+    """Per window, the sums over its full blocks of the unit-weighted
+    (column 0) and load-weighted (column 1) critical-path depth.
+
+    The in-block dataflow DP of every window runs at once, one position
+    at a time.  Rows are laid out position-major: step ``j`` is one
+    contiguous slice holding the ``j``-th instruction of every block of
+    every window longer than ``j``, in window then block order.  Depths
+    are small integers, so every sum is exact.
+    """
+    n_windows = len(windows)
+    blocks = len(src1) // windows
+    # Rows per (position, window) group, and where each group starts.
+    sizes = np.where(np.arange(windows[-1])[:, None] < windows,
+                     blocks, 0).ravel()
+    starts = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    rows = int(starts[-1])
+    groups = np.flatnonzero(sizes)
+    group = np.repeat(groups, sizes[groups])
+    position, window = np.divmod(group, n_windows)
+    block = np.arange(rows) - starts[group]
+    inst = block * windows[window] + position
+
+    def source_rows(distance: np.ndarray) -> np.ndarray:
+        # A source outside the block points at the row itself: it is
+        # still zero when its own step gathers it.
+        d = distance[inst]
+        d = np.where(d <= position, d, 0)
+        return starts[group - d * n_windows] + block
+
+    sources = (source_rows(src1), source_rows(src2))
+    weight = np.empty((rows, 2))
+    weight[:, 0] = 1.0
+    weight[:, 1] = np.where(is_load, _NOMINAL_LOAD_WEIGHT, 1.0)[inst]
+    depth = np.zeros((rows, 2))
+    # A step's rows map onto the tail of the (window, block) list.
+    peak = np.zeros((int(blocks.sum()), 2))
+    steps = starts[::n_windows].tolist()
+    for lo, hi in zip(steps[:-1], steps[1:]):
+        row = depth.take(sources[0][lo:hi], axis=0)
+        np.maximum(row, depth.take(sources[1][lo:hi], axis=0), out=row)
+        row += weight[lo:hi]
+        depth[lo:hi] = row
+        tail = peak[len(peak) - (hi - lo):]
+        np.maximum(tail, row, out=tail)
+    edges = np.zeros((len(peak) + 1, 2))
+    np.cumsum(peak, axis=0, out=edges[1:])
+    last = np.cumsum(blocks)
+    return edges[last] - edges[last - blocks]
+
+
+def _capacities(parameter: str) -> list[int]:
+    """The distinct capacities, in blocks, of one Table I cache size."""
+    return sorted({v // CACHE_BLOCK_BYTES
+                   for v in parameter_by_name(parameter).values})
+
+
+def _measured_rate(misses_joint: int, misses_train: int, n_train: int,
+                   n_measure: int) -> float:
+    """Miss rate over the measured stream of a warm + measure replay.
+
+    Misses are recovered as rate times count, as from the per-stream
+    rate functions, so every rate keeps its exact floating-point value.
+    """
+    n_joint = n_train + n_measure
+    joint = misses_joint / n_joint * n_joint
+    train = (misses_train / n_train if n_train else 0.0) * n_train
+    return max(0.0, (joint - train) / n_measure)
 
 
 def characterize(
     trace: Trace, warm_trace: Trace | None = None
 ) -> TraceCharacterization:
-    """Characterise ``trace`` (one pass per analysis; seconds at most).
+    """Characterise ``trace``: one array pass per analysis, a few
+    milliseconds for a few thousand instructions.
 
     Args:
         trace: the phase trace to characterise.
@@ -204,81 +256,76 @@ def characterize(
     fp_src_density = float(srcs_mem_adjusted[is_fp].sum()) / n
 
     # -- ILP ----------------------------------------------------------------
-    path_ops, path_weighted = _critical_paths(trace)
+    with obs.span("characterize.ilp"):
+        window_sizes, path_ops, path_weighted = _critical_paths(trace)
 
     # -- caches --------------------------------------------------------------
-    data_blocks = trace.addr[is_mem] // CACHE_BLOCK_BYTES
-    pc_blocks_all = trace.pc // CACHE_BLOCK_BYTES
-    transitions = np.empty(n, dtype=bool)
-    transitions[0] = True
-    transitions[1:] = pc_blocks_all[1:] != pc_blocks_all[:-1]
-    inst_blocks = pc_blocks_all[transitions]
-    fetch_block_frac = float(transitions.mean())
+    with obs.span("characterize.caches"):
+        data_blocks = trace.addr[is_mem] // CACHE_BLOCK_BYTES
+        pc_blocks_all = trace.pc // CACHE_BLOCK_BYTES
+        transitions = np.empty(n, dtype=bool)
+        transitions[0] = True
+        transitions[1:] = pc_blocks_all[1:] != pc_blocks_all[:-1]
+        inst_blocks = pc_blocks_all[transitions]
+        fetch_block_frac = float(transitions.mean())
 
-    dcache_capacities = sorted(
-        {v // CACHE_BLOCK_BYTES for v in parameter_by_name("dcache_size").values}
-    )
-    icache_capacities = sorted(
-        {v // CACHE_BLOCK_BYTES for v in parameter_by_name("icache_size").values}
-    )
-    l2_capacities = sorted(
-        {v // CACHE_BLOCK_BYTES for v in parameter_by_name("l2_size").values}
-    )
+        dcache_capacities = _capacities("dcache_size")
+        icache_capacities = _capacities("icache_size")
+        l2_capacities = _capacities("l2_size")
 
-    data_sd = stack_distances(data_blocks)
-    inst_sd = stack_distances(inst_blocks)
-    # A warmed cache sees repeat behaviour: treat cold (first-touch)
-    # accesses as hits when the block would fit (the warm-up pass loaded
-    # them), i.e. miss iff distance >= capacity.  Cold distances are set to
-    # the stream's distinct-block count so tiny caches still miss them.
-    data_sd = np.where(data_sd < 0, len(np.unique(data_blocks)), data_sd)
-    inst_sd = np.where(inst_sd < 0, len(np.unique(inst_blocks)), inst_sd)
+        data_sd = stack_distances(data_blocks)
+        inst_sd = stack_distances(inst_blocks)
+        # A warmed cache sees repeat behaviour: treat cold (first-touch)
+        # accesses as hits when the block would fit (the warm-up pass
+        # loaded them), i.e. miss iff distance >= capacity.  Cold distances
+        # are set to the stream's distinct-block count (each distinct
+        # block has one cold access) so tiny caches still miss them.
+        data_cold = data_sd < 0
+        inst_cold = inst_sd < 0
+        data_sd = np.where(data_cold, np.count_nonzero(data_cold), data_sd)
+        inst_sd = np.where(inst_cold, np.count_nonzero(inst_cold), inst_sd)
 
-    dcache_miss = smoothed_miss_curve(data_sd, dcache_capacities)
-    icache_miss = smoothed_miss_curve(inst_sd, icache_capacities)
-    l2_data_miss = smoothed_miss_curve(data_sd, l2_capacities)
-    l2_inst_miss = smoothed_miss_curve(inst_sd, l2_capacities)
+        dcache_miss = smoothed_miss_curve(data_sd, dcache_capacities)
+        icache_miss = smoothed_miss_curve(inst_sd, icache_capacities)
+        l2_data_miss = smoothed_miss_curve(data_sd, l2_capacities)
+        l2_inst_miss = smoothed_miss_curve(inst_sd, l2_capacities)
 
     # -- branches ------------------------------------------------------------
-    branch_pcs = trace.pc[is_branch]
-    branch_taken = trace.taken[is_branch]
-    warm = warm_trace if warm_trace is not None else trace
-    warm_pcs = warm.pc[warm.is_branch]
-    warm_taken = warm.taken[warm.is_branch]
-    # Train on the warm stream, measure on the trace: rate over the
-    # concatenation minus the training stream's own misses.
-    joint_pcs = np.concatenate([warm_pcs, branch_pcs])
-    joint_taken = np.concatenate([warm_taken, branch_taken])
-    n_measure = len(branch_pcs)
-    n_train = len(warm_pcs)
+    with obs.span("characterize.branches"):
+        branch_pcs = trace.pc[is_branch]
+        branch_taken = trace.taken[is_branch]
+        warm = warm_trace if warm_trace is not None else trace
+        warm_pcs = warm.pc[warm.is_branch]
+        warm_taken = warm.taken[warm.is_branch]
+        # Train on the warm stream, measure on the trace: misses over the
+        # concatenation minus the training stream's own misses, which one
+        # replay of the concatenation counts as its prefix.
+        joint_pcs = np.concatenate([warm_pcs, branch_pcs])
+        joint_taken = np.concatenate([warm_taken, branch_taken])
+        n_measure = len(branch_pcs)
+        n_train = len(warm_pcs)
 
-    gshare_mispredict = {}
-    for size in parameter_by_name("gshare_size").values:
-        if n_measure == 0:
-            gshare_mispredict[size] = 0.0
-            continue
-        misses_joint = simulate_gshare(joint_pcs, joint_taken, size) * (
-            n_train + n_measure
-        )
-        misses_train = simulate_gshare(warm_pcs, warm_taken, size) * n_train
-        gshare_mispredict[size] = max(
-            0.0, (misses_joint - misses_train) / n_measure
-        )
+        gshare_mispredict = {}
+        for size in parameter_by_name("gshare_size").values:
+            if n_measure == 0:
+                gshare_mispredict[size] = 0.0
+                continue
+            misses_train, misses_joint = gshare_misses(
+                joint_pcs, joint_taken, size, split=n_train)
+            gshare_mispredict[size] = _measured_rate(
+                misses_joint, misses_train, n_train, n_measure)
 
-    taken_measure = int(branch_taken.sum())
-    taken_train = int(warm_taken.sum())
-    btb_taken_miss = {}
-    for size in parameter_by_name("btb_size").values:
-        if taken_measure == 0:
-            btb_taken_miss[size] = 0.0
-            continue
-        misses_joint = simulate_btb(joint_pcs, joint_taken, size) * (
-            taken_train + taken_measure
-        )
-        misses_train = simulate_btb(warm_pcs, warm_taken, size) * taken_train
-        btb_taken_miss[size] = max(
-            0.0, (misses_joint - misses_train) / taken_measure
-        )
+        taken_measure = int(branch_taken.sum())
+        taken_train = int(warm_taken.sum())
+        btb_taken_miss = {}
+        for size in parameter_by_name("btb_size").values:
+            if taken_measure == 0:
+                btb_taken_miss[size] = 0.0
+                continue
+            misses_train, misses_joint = btb_misses(
+                joint_pcs, joint_taken, size, split=n_train)
+            btb_taken_miss[size] = _measured_rate(
+                misses_joint, misses_train, taken_train, taken_measure)
 
     return TraceCharacterization(
         instructions=n,
@@ -296,7 +343,7 @@ def characterize(
         op_fracs=tuple(
             float((ops == code).mean()) for code in range(len(OpClass.NAMES))
         ),
-        window_sizes=WINDOW_GRID,
+        window_sizes=window_sizes,
         path_ops=path_ops,
         path_weighted=path_weighted,
         dcache_miss=dcache_miss,

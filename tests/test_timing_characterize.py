@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.timing import characterize
+from repro.timing import CharTables, characterize
+from repro.timing.characterize import WINDOW_GRID
 from repro.workloads import PhaseSpec, TraceGenerator
 
 
@@ -138,3 +139,31 @@ class TestBranchTables:
         honest = characterize(trace, warm_trace=sibling)
         assert (self_warmed.gshare_mispredict[32 * 1024]
                 <= honest.gshare_mispredict[32 * 1024] + 0.02)
+
+
+class TestShortTraces:
+    """Windows longer than the trace hold no full block and are left out;
+    they used to report a critical path of 0.0 and so ~1e11 IPC."""
+
+    def test_windows_longer_than_the_trace_are_dropped(self):
+        trace = TraceGenerator(PhaseSpec(name="short")).generate(100)
+        char = characterize(trace)
+        assert char.window_sizes == (4, 8, 12, 16, 24, 32, 48, 64, 96)
+        assert min(char.path_ops) >= 1.0
+        assert list(char.path_ops) == sorted(char.path_ops)
+        assert list(char.path_weighted) == sorted(char.path_weighted)
+        ipc = char.ilp(224, 1.0, 4.0)
+        assert ipc == char.ilp(96, 1.0, 4.0)
+        assert 0.0 < ipc <= 96.0
+        batch = CharTables(char).ilp(np.array([224.0]), 1.0, 4.0)
+        assert batch[0] == pytest.approx(ipc, rel=1e-12)
+
+    def test_trace_shorter_than_the_smallest_window(self):
+        trace = TraceGenerator(PhaseSpec(name="tiny")).generate(8).slice(0, 3)
+        char = characterize(trace)
+        assert char.window_sizes == (3,)
+        assert 1.0 <= char.path_ops[0] <= 3.0
+        assert 0.0 < char.ilp(224, 1.0, 4.0) <= 3.0
+
+    def test_long_traces_keep_the_whole_grid(self, int_char):
+        assert int_char.window_sizes == WINDOW_GRID
