@@ -1,7 +1,8 @@
 """Adaptive processor demo: the full figure 2 runtime loop.
 
 Trains the predictor on a few benchmarks, then drives an *unseen* program
-through the :class:`~repro.control.AdaptiveController`:
+through the policy arena (:class:`~repro.control.arena.Arena`) with the
+paper's controller, :class:`~repro.control.arena.SoftmaxPolicy`:
 
 * an online working-set detector spots phase changes;
 * new phases are profiled on the profiling configuration;
@@ -25,7 +26,7 @@ from repro import (
     collect_counters,
     spec2000_suite,
 )
-from repro.control import AdaptiveController
+from repro.control.arena import DEFAULT_SCENARIOS, Arena, SoftmaxPolicy
 from repro.experiments.baselines import geomean
 
 
@@ -61,16 +62,17 @@ def main() -> None:
     program = build_program(spec2000_suite((test_name,))[0], n_phases=4,
                             n_intervals=30, interval_length=6000,
                             mean_segment=8)
-    controller = AdaptiveController(predictor, extractor,
-                                    initial_config=baseline)
+    arena = Arena({test_name: program}, baseline)
+    paper = DEFAULT_SCENARIOS[0]  # the paper's Table V charges
     print(f"\nadaptive run of unseen benchmark '{test_name}' "
           f"({program.n_intervals} intervals):")
-    adaptive = controller.run(program)
-    static = controller.run_static(program, baseline)
+    adaptive = arena.run_policy(SoftmaxPolicy(predictor), test_name, paper)
+    static = arena.static_reference(test_name, baseline, paper)
 
     total_instructions = program.n_intervals * program.interval_length
-    print(f"  phases discovered:     {controller.detector.known_phases}")
-    print(f"  profiling intervals:   {adaptive.profiling_intervals}")
+    phases = {record.phase_id for record in adaptive.records}
+    print(f"  phases discovered:     {len(phases)}")
+    print(f"  profiling intervals:   {adaptive.profiled_intervals}")
     print(f"  reconfigurations:      {adaptive.reconfigurations} "
           f"({adaptive.reconfiguration_rate:.2f}/interval; paper: ~0.1)")
     print(f"  overhead time:         "

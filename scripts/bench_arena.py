@@ -20,9 +20,10 @@ Gates (exit non-zero on violation):
 
 - every league carries >= 6 live policies plus the oracle row;
 - **golden guard**: the softmax policy run through the arena reproduces
-  the paper controller's run *bit-identically* on every program —
-  same configuration sequence, same profile/reconfigure flags, and
-  float-equal time/energy/stall accounting;
+  the reference figure 2 loop (``tests/reference_controller.py``)
+  *bit-identically* on every program — same configuration sequence,
+  same profile/reconfigure flags, and float-equal time/energy/stall
+  accounting;
 - the post-hoc oracle tops every league (no live policy beats the
   charge-aware DP bound over the configurations actually played);
 - the static-best policy's net reward equals the uncharged static
@@ -39,7 +40,6 @@ import time
 from pathlib import Path
 
 from repro import obs
-from repro.control import AdaptiveController
 from repro.control.arena import DEFAULT_SCENARIOS, ORACLE_NAME, SoftmaxPolicy
 from repro.counters.features import AdvancedFeatureExtractor
 from repro.experiments.arena import build_arena, build_default_policies
@@ -47,23 +47,29 @@ from repro.experiments.datastore import DataStore
 from repro.experiments.pipeline import ExperimentPipeline
 from repro.experiments.scale import ReproScale
 
+# The golden guard's reference loop lives under tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from tests.reference_controller import run_reference_controller  # noqa: E402
+
 MIN_POLICIES = 6
 SMOKE_MAX_INTERVALS = 12
 
 
 def golden_guard(pipeline: ExperimentPipeline, arena, scenario) -> list[str]:
-    """Compare the arena's softmax run against the original controller."""
+    """Compare the arena's softmax run against the reference loop."""
     predictor = pipeline.full_predictor("advanced")
     policy = SoftmaxPolicy(predictor)
     failures: list[str] = []
     for name, program in pipeline.programs.items():
         arena_run = arena.run_policy(policy, name, scenario)
-        controller = AdaptiveController(predictor, AdvancedFeatureExtractor())
-        report = controller.run(program, max_intervals=arena.max_intervals)
-        if len(arena_run.records) != len(report.records):
+        reference = run_reference_controller(
+            predictor, AdvancedFeatureExtractor(), program,
+            max_intervals=arena.max_intervals)
+        if len(arena_run.records) != len(reference):
             failures.append(f"{name}: interval count diverged")
             continue
-        for ours, golden in zip(arena_run.records, report.records):
+        for ours, golden in zip(arena_run.records, reference):
             same = (
                 ours.config == golden.config
                 and ours.profiled == golden.profiled
@@ -77,7 +83,7 @@ def golden_guard(pipeline: ExperimentPipeline, arena, scenario) -> list[str]:
             if not same:
                 failures.append(
                     f"{name} interval {ours.interval}: arena record "
-                    f"diverged from the golden controller")
+                    f"diverged from the reference loop")
                 break
     return failures
 

@@ -12,7 +12,9 @@ The public API re-exports the main entry points of each subsystem:
   :class:`~repro.timing.IntervalEvaluator`, :func:`~repro.timing.characterize`;
 * counters: :func:`~repro.counters.collect_counters`, feature extractors;
 * model: :class:`~repro.model.ConfigurationPredictor`;
-* control: :class:`~repro.control.AdaptiveController`;
+* control: :class:`~repro.control.ReconfigurationModel` (the figure 2
+  loop is :class:`~repro.control.arena.Arena` with
+  :class:`~repro.control.arena.SoftmaxPolicy`);
 * experiments: :class:`~repro.experiments.ExperimentPipeline`,
   :class:`~repro.experiments.ReproScale`.
 """
@@ -23,7 +25,7 @@ from repro.config import (
     MicroarchConfig,
     TABLE1_PARAMETERS,
 )
-from repro.control import AdaptiveController, ReconfigurationModel
+from repro.control import ReconfigurationModel
 from repro.counters import (
     AdvancedFeatureExtractor,
     BasicFeatureExtractor,
@@ -39,7 +41,6 @@ from repro.workloads import PhaseSpec, Program, Trace, build_program, spec2000_s
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdaptiveController",
     "AdvancedFeatureExtractor",
     "BasicFeatureExtractor",
     "ConfigurationPredictor",

@@ -1,17 +1,17 @@
-"""Shared reconfiguration-overhead accounting.
+"""Reconfiguration-overhead accounting.
 
-One formula, two consumers: :class:`~repro.control.controller.AdaptiveController`
-(the paper's figure 2 loop) and the policy arena
-(:mod:`repro.control.arena`).  Keeping the arithmetic in one place is what
-lets the arena's golden guard demand *bit-identity* between the softmax
-policy run through the arena and the original controller: both charge a
-transition through exactly the same floating-point operations in exactly
-the same order.
+The policy arena (:mod:`repro.control.arena`) bills every switch through
+:func:`charge_reconfiguration`, and ``tests/reference_controller.py``
+(the paper's figure 2 loop, kept as a test oracle) calls the same
+function.  Both therefore charge a transition through exactly the same
+floating-point operations in exactly the same order, which is what lets
+the arena's golden guard demand *bit-identity* between the softmax policy
+run through the arena and the reference loop.
 
 The charge for switching from ``source`` to ``target`` at an interval is
 
 * a visible pipeline stall — ``stall_cycles * period_ns``, scaled down by
-  ``interval_length / paper_interval_instructions`` (synthetic intervals
+  ``interval_length / PAPER_INTERVAL_INSTRUCTIONS`` (synthetic intervals
   are far shorter than the paper's 10M-instruction SimPoints, so absolute
   stalls are scaled to preserve the paper's *relative* overhead);
 * the gate-switching energy plus the idle energy burnt during the stall
@@ -20,7 +20,7 @@ The charge for switching from ``source`` to ``target`` at an interval is
 ``multiplier`` scales the whole charge; arena scenarios use it to study
 overhead regimes (free / paper / punitive).  ``multiplier=1.0`` is exact:
 IEEE multiplication by 1.0 preserves every bit, so the default regime is
-indistinguishable from the controller's own accounting.
+the paper's accounting.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from repro.timing.resources import derive_machine_params
 
 __all__ = ["ReconfigurationCharge", "overhead_scale", "charge_reconfiguration"]
 
+#: The adaptation interval the overhead model is calibrated against: the
+#: paper's SimPoint interval of 10M instructions.
+PAPER_INTERVAL_INSTRUCTIONS = 10_000_000
+
 
 @dataclass(frozen=True)
 class ReconfigurationCharge:
@@ -42,22 +46,15 @@ class ReconfigurationCharge:
     energy_pj: float
 
 
-def overhead_scale(interval_length: int,
-                   paper_interval_instructions: int) -> float:
-    """The stall-scaling factor for a synthetic interval length.
-
-    ``paper_interval_instructions=0`` disables scaling (factor 1.0).
-    """
-    if not paper_interval_instructions:
-        return 1.0
-    return min(1.0, interval_length / paper_interval_instructions)
+def overhead_scale(interval_length: int) -> float:
+    """The stall-scaling factor for a synthetic interval length."""
+    return min(1.0, interval_length / PAPER_INTERVAL_INSTRUCTIONS)
 
 
 def charge_reconfiguration(
     cost: ReconfigurationCost,
     target: MicroarchConfig,
     interval_length: int,
-    paper_interval_instructions: int = 10_000_000,
     multiplier: float = 1.0,
 ) -> ReconfigurationCharge:
     """Price one transition's visible stall and energy.
@@ -67,12 +64,10 @@ def charge_reconfiguration(
         target: the configuration being switched *to* (its machine
             parameters set the clock period and idle power).
         interval_length: dynamic instructions per interval.
-        paper_interval_instructions: the adaptation interval the overhead
-            model is calibrated against (0 disables stall scaling).
-        multiplier: scenario overhead regime; 1.0 is bit-exact with the
-            controller's native accounting.
+        multiplier: scenario overhead regime; 1.0 is the paper's
+            accounting, bit for bit.
     """
-    scale = overhead_scale(interval_length, paper_interval_instructions)
+    scale = overhead_scale(interval_length)
     params = derive_machine_params(target)
     stall_ns = cost.stall_cycles * params.period_ns * scale * multiplier
     idle_power_mw = (

@@ -1,4 +1,4 @@
-"""The policy arena: pluggable adaptivity controllers, head-to-head.
+"""The policy arena: the paper's adaptation loop with pluggable policies.
 
 See :mod:`repro.control.arena.policy` for the interface,
 :mod:`repro.control.arena.harness` for the league machinery and
@@ -29,19 +29,6 @@ from repro.control.arena.policy import (
     PolicyFeedback,
     PolicyView,
 )
-from repro.control.arena.tabular import (
-    TabularForced,
-    TabularGreedy,
-    TabularPolicy,
-    TabularRandom,
-    TabularRun,
-    TabularScenario,
-    TabularStatic,
-    TabularSticky,
-    run_tabular,
-    static_score,
-    tabular_oracle,
-)
 
 __all__ = [
     "AdaptivityPolicy",
@@ -61,17 +48,6 @@ __all__ = [
     "PolicyView",
     "SoftmaxPolicy",
     "StaticPolicy",
-    "TabularForced",
-    "TabularGreedy",
-    "TabularPolicy",
-    "TabularRandom",
-    "TabularRun",
-    "TabularScenario",
-    "TabularStatic",
-    "TabularSticky",
     "interval_reward",
     "predictor_digest",
-    "run_tabular",
-    "static_score",
-    "tabular_oracle",
 ]

@@ -3,8 +3,9 @@
 * :class:`SoftmaxPolicy` — the paper's one-shot strategy behind the
   :class:`~repro.control.arena.policy.AdaptivityPolicy` interface.  With
   ``feature_set="basic"`` and a basic-feature predictor it doubles as the
-  counters-only ablation.  Its decisions are bit-identical to
-  :class:`~repro.control.controller.AdaptiveController` (golden-guarded).
+  counters-only ablation.  Run through the arena it reproduces the
+  paper's figure 2 loop bit for bit (golden-guarded against the
+  reference loop in ``tests/reference_controller.py``).
 * :class:`PhaseDistancePolicy` — hysteresis in the spirit of Phase
   Distance Mapping: reuse the nearest profiled phase's configuration when
   the working-set signature is close enough, and refuse to switch (or to
@@ -57,9 +58,9 @@ class SoftmaxPolicy(AdaptivityPolicy):
     """The paper's controller as an arena policy.
 
     Profile every unseen phase, predict once with the trained soft-max
-    model, reuse the stored prediction whenever the phase recurs.  The
-    decision logic mirrors :class:`AdaptiveController.run` statement for
-    statement so the arena reproduces its records bit-identically.
+    model, reuse the stored prediction whenever the phase recurs.  Its
+    records through the arena equal the reference loop's
+    (``tests/reference_controller.py``) bit for bit.
     """
 
     def __init__(self, predictor: ConfigurationPredictor, *,

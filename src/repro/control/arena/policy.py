@@ -34,11 +34,10 @@ from typing import Callable
 import numpy as np
 
 from repro.config.configuration import MicroarchConfig
-from repro.control.controller import IntervalRecord
 from repro.phases.detector import Observation
 
-__all__ = ["AdaptivityPolicy", "PolicyDecision", "PolicyFeedback",
-           "PolicyView"]
+__all__ = ["AdaptivityPolicy", "IntervalRecord", "PolicyDecision",
+           "PolicyFeedback", "PolicyView"]
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class PolicyDecision:
         profile: the interval is spent on the profiling configuration
             gathering Table II counters; the switch to ``config`` is
             charged at the end of the interval (section III-B1
-            accounting, identical to the controller's).
+            accounting).
     """
 
     config: MicroarchConfig
@@ -82,6 +81,22 @@ class PolicyView:
     def signature(self) -> np.ndarray:
         """Working-set signature of this interval (detector-level, free)."""
         return self._signature()
+
+
+@dataclass
+class IntervalRecord:
+    """What happened during one interval: the configuration executed, its
+    priced time and energy, and the reconfiguration charge billed to it."""
+
+    interval: int
+    phase_id: int
+    config: MicroarchConfig
+    profiled: bool
+    reconfigured: bool
+    time_ns: float
+    energy_pj: float
+    stall_ns: float = 0.0
+    reconfig_energy_pj: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -641,11 +641,16 @@ def section8_overheads(
     programs: tuple[str, ...] | None = None,
     max_intervals: int = 40,
 ) -> Section8:
-    from repro.control.controller import AdaptiveController
-    from repro.experiments.pipeline import FEATURE_EXTRACTORS
+    """The paper's controller (the softmax policy under the ``paper``
+    scenario's Table V charges) run through the arena."""
+    from repro.control.arena import DEFAULT_SCENARIOS, SoftmaxPolicy
+    from repro.experiments.arena import build_arena
 
     names = programs or pipeline.benchmark_names[:4]
-    predictor = pipeline.full_predictor("advanced")
+    arena = build_arena(pipeline, max_intervals=max_intervals,
+                        use_store=False)
+    policy = SoftmaxPolicy(pipeline.full_predictor("advanced"))
+    paper = next(s for s in DEFAULT_SCENARIOS if s.name == "paper")
     time_total = 0.0
     energy_total = 0.0
     time_overhead = 0.0
@@ -653,14 +658,7 @@ def section8_overheads(
     reconfigs = 0
     intervals = 0
     for name in names:
-        program = pipeline.programs[name]
-        controller = AdaptiveController(
-            predictor,
-            FEATURE_EXTRACTORS["advanced"],
-            overheads_enabled=True,
-            initial_config=pipeline.baseline_config,
-        )
-        report = controller.run(program, max_intervals=max_intervals)
+        report = arena.run_policy(policy, name, paper)
         time_total += report.time_ns
         energy_total += report.energy_pj
         time_overhead += report.overhead_time_ns

@@ -7,8 +7,9 @@ basic-block vector per interval, compared by Manhattan distance and
 matched against a table of past phase centroids.
 
 Both detectors expose the same ``observe``/``reset`` protocol, so the
-:class:`~repro.control.AdaptiveController` accepts either; a test compares
-their verdicts on the same schedules.
+policy arena (:class:`~repro.control.arena.Arena`, via its
+``detector_factory``) runs with either; a test compares their verdicts on
+the same schedules.
 """
 
 from __future__ import annotations

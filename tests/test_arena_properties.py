@@ -1,14 +1,20 @@
 """Property-based tests (hypothesis) for the arena's core invariants.
 
-Run on the tabular substrate (:mod:`repro.control.arena.tabular`), where
-the invariants are provable rather than empirical:
+Run on the production arena loop over table-priced games
+(:mod:`tests.table_arena`): hypothesis draws a phase sequence and a
+``(time_ns, energy_pj)`` price per (phase, arm), and every switch is
+charged by the production Table V accounting between real
+configurations.  On these games the invariants hold exactly:
 
-* the DP oracle dominates every policy under every overhead regime;
+* the DP oracle equals the best of all forced configuration paths and
+  dominates every policy under every overhead regime;
 * charging *more* overhead never increases a fixed decision sequence's
-  net reward (and never changes a never-switching policy's at all);
+  net reward;
 * a policy that always picks one arm scores exactly the static
-  baseline — bit-exact, same float summation.
+  reference — bit-exact, same float summation.
 """
+
+import itertools
 
 import pytest
 
@@ -18,108 +24,118 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control.arena import (
-    TabularForced,
-    TabularGreedy,
-    TabularRandom,
-    TabularScenario,
-    TabularStatic,
-    TabularSticky,
-    run_tabular,
-    static_score,
-    tabular_oracle,
+    DEFAULT_SCENARIOS,
+    ORACLE_NAME,
+    ArenaScenario,
+    EpsilonGreedyPolicy,
+    StaticPolicy,
 )
 
-#: Dominance comparisons replay the oracle path through the same
-#: accumulation loop as every policy, but the DP argmax itself sums in a
-#: different association order, so allow float-level slack.
+from tests.table_arena import (
+    ARMS,
+    FREE,
+    GAME,
+    ForcedPolicy,
+    GreedyPolicy,
+    StickyPolicy,
+    TableArena,
+)
+
+#: Replaying a trajectory under a different multiplier changes the float
+#: operations of every charged interval, so monotonicity comparisons get
+#: float-level slack.  Dominance and replay comparisons need none.
 DOMINANCE_TOL = 1e-9
 
-finite_rewards = st.floats(min_value=-8.0, max_value=8.0,
-                           allow_nan=False, allow_infinity=False, width=32)
-costs = st.floats(min_value=0.0, max_value=4.0,
-                  allow_nan=False, allow_infinity=False, width=32)
+#: Table prices: a paper-scenario stall (about 1-9 ns) is a sizeable
+#: fraction of these times, so the charges change which paths are best.
+times = st.floats(min_value=20.0, max_value=40.0)
+energies = st.floats(min_value=1e4, max_value=2e4)
+multipliers = st.floats(min_value=0.0, max_value=5.0)
+scenarios = st.sampled_from(DEFAULT_SCENARIOS)
 
 
 @st.composite
-def scenarios(draw):
-    n_arms = draw(st.integers(min_value=1, max_value=4))
+def games(draw, max_arms=len(ARMS), max_intervals=10):
+    n_arms = draw(st.integers(min_value=1, max_value=max_arms))
     n_phases = draw(st.integers(min_value=1, max_value=3))
-    sequence = tuple(draw(st.lists(
-        st.integers(min_value=0, max_value=n_phases - 1),
-        min_size=1, max_size=10)))
-    rewards = tuple(
-        tuple(draw(finite_rewards) for _ in range(n_arms))
-        for _ in range(n_phases))
-    switch_cost = tuple(
-        tuple(0.0 if i == j else draw(costs) for j in range(n_arms))
-        for i in range(n_arms))
-    multiplier = draw(st.floats(min_value=0.0, max_value=5.0,
-                                allow_nan=False, allow_infinity=False,
-                                width=32))
-    return TabularScenario(phase_sequence=sequence, rewards=rewards,
-                           switch_cost=switch_cost,
-                           overhead_multiplier=multiplier)
+    phases = draw(st.lists(st.integers(min_value=0, max_value=n_phases - 1),
+                           min_size=1, max_size=max_intervals))
+    table = [[(draw(times), draw(energies)) for _ in range(n_arms)]
+             for _ in range(n_phases)]
+    return TableArena(phases, table)
 
 
-def roster(scenario: TabularScenario):
-    policies = [TabularGreedy(scenario), TabularSticky(scenario),
-                TabularRandom(scenario.n_arms, seed=1)]
-    policies.extend(TabularStatic(arm) for arm in range(scenario.n_arms))
+def roster(arena: TableArena, scenario: ArenaScenario):
+    policies = [GreedyPolicy(arena), StickyPolicy(arena, scenario),
+                EpsilonGreedyPolicy(arena.arms, seed=1)]
+    policies.extend(StaticPolicy(arm, name=f"static-{i}")
+                    for i, arm in enumerate(arena.arms))
     return policies
 
 
-@settings(max_examples=120, deadline=None)
-@given(scenarios())
-def test_oracle_dominates_every_policy(scenario):
-    """ISSUE 10 property 1: no policy beats the charge-aware DP bound."""
-    bound = tabular_oracle(scenario).net_reward
-    for policy in roster(scenario):
-        achieved = run_tabular(policy, scenario).net_reward
-        assert achieved <= bound + DOMINANCE_TOL
+@settings(max_examples=80, deadline=None)
+@given(games(max_arms=3, max_intervals=5), scenarios)
+def test_oracle_equals_best_forced_path(arena, scenario):
+    """The charge-aware DP finds exactly the best of every configuration
+    path run through the live loop."""
+    best = max(
+        arena.run_policy(ForcedPolicy(path), GAME, scenario).net_reward
+        for path in itertools.product(arena.arms, repeat=len(
+            arena.programs[GAME].phases)))
+    assert arena.oracle_run(GAME, scenario, arena.arms).net_reward == best
 
 
 @settings(max_examples=120, deadline=None)
-@given(scenarios(), st.floats(min_value=0.0, max_value=5.0,
-                              allow_nan=False, allow_infinity=False,
-                              width=32))
-def test_overhead_never_increases_net_reward(scenario, extra):
-    """ISSUE 10 property 2: replaying the same decisions under a larger
-    overhead multiplier can only lower the net reward."""
-    cheaper = scenario
-    dearer = scenario.with_multiplier(scenario.overhead_multiplier + extra)
-    for policy in roster(cheaper):
-        choices = run_tabular(policy, cheaper).choices
-        base = run_tabular(TabularForced(choices), cheaper).net_reward
-        charged = run_tabular(TabularForced(choices), dearer).net_reward
-        assert charged <= base + DOMINANCE_TOL
+@given(games(), scenarios)
+def test_oracle_dominates_every_policy(arena, scenario):
+    """No policy beats the charge-aware DP bound — checked on the league
+    table, where the oracle row is built."""
+    league = arena.league(roster(arena, scenario), scenario)
+    oracle = league.row(ORACLE_NAME).net_reward
+    assert all(row.net_reward <= oracle for row in league.rows)
 
 
 @settings(max_examples=120, deadline=None)
-@given(scenarios())
-def test_static_policy_scores_static_baseline_exactly(scenario):
-    """ISSUE 10 property 3: an always-one-arm policy is charge-free and
-    accumulates exactly the static baseline — no tolerance."""
-    for arm in range(scenario.n_arms):
-        run = run_tabular(TabularStatic(arm), scenario)
-        assert run.net_reward == static_score(scenario, arm)
-        assert run.switches == 0
+@given(games(), multipliers, multipliers)
+def test_overhead_never_increases_net_reward(arena, multiplier, extra):
+    """Replaying the same decisions under a larger overhead multiplier
+    can only lower the net reward."""
+    cheaper = ArenaScenario("cheaper", overhead_multiplier=multiplier)
+    dearer = ArenaScenario("dearer", overhead_multiplier=multiplier + extra)
+    for policy in roster(arena, cheaper):
+        path = arena.run_policy(policy, GAME, cheaper).decisions
+        base = arena.run_policy(ForcedPolicy(path), GAME, cheaper)
+        charged = arena.run_policy(ForcedPolicy(path), GAME, dearer)
+        assert charged.net_reward <= base.net_reward + DOMINANCE_TOL
+
+
+@settings(max_examples=120, deadline=None)
+@given(games(), scenarios)
+def test_static_policy_scores_static_baseline_exactly(arena, scenario):
+    """An always-one-arm policy is charge-free and accumulates exactly
+    the static reference — no tolerance."""
+    for arm in arena.arms:
+        run = arena.run_policy(StaticPolicy(arm), GAME, scenario)
+        assert run.rewards == arena.static_reference(GAME, arm,
+                                                     scenario).rewards
+        assert run.reconfigurations == 0
 
 
 @settings(max_examples=60, deadline=None)
-@given(scenarios())
-def test_oracle_weakly_improves_as_overheads_drop(scenario):
+@given(games(), scenarios)
+def test_oracle_weakly_improves_as_overheads_drop(arena, scenario):
     """Freeing the switches can only raise the attainable optimum."""
-    charged = tabular_oracle(scenario).net_reward
-    free = tabular_oracle(scenario.with_multiplier(0.0)).net_reward
+    charged = arena.oracle_run(GAME, scenario, arena.arms).net_reward
+    free = arena.oracle_run(GAME, FREE, arena.arms).net_reward
     assert charged <= free + DOMINANCE_TOL
 
 
 @settings(max_examples=60, deadline=None)
-@given(scenarios())
-def test_oracle_path_replay_is_consistent(scenario):
-    """The oracle's reported net reward is its own path's replayed net
-    reward — the dominance comparison is apples-to-apples."""
-    oracle = tabular_oracle(scenario)
-    replay = run_tabular(TabularForced(oracle.choices), scenario)
+@given(games(), scenarios)
+def test_oracle_path_replay_is_consistent(arena, scenario):
+    """The oracle's reported net reward is its own path's net reward
+    through the live loop — the dominance comparison is apples-to-apples."""
+    oracle = arena.oracle_run(GAME, scenario, arena.arms)
+    replay = arena.run_policy(ForcedPolicy(oracle.decisions), GAME, scenario)
     assert replay.net_reward == oracle.net_reward
-    assert replay.choices == oracle.choices
+    assert replay.decisions == oracle.decisions

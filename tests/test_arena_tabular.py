@@ -1,159 +1,188 @@
-"""Tests for the tabular arena (the exactly-solvable property substrate)."""
+"""Hand-checked games on the table-priced arena (:mod:`tests.table_arena`).
+
+Each game is small enough to solve by hand once the production switch
+charges are known; the charges themselves come from the arena
+(``charged_reward``), so the expected answers hold before and after any
+recalibration of Table V.
+"""
+
+import math
 
 import pytest
 
 from repro.control.arena import (
-    TabularForced,
-    TabularGreedy,
-    TabularRandom,
-    TabularScenario,
-    TabularStatic,
-    TabularSticky,
-    run_tabular,
-    static_score,
-    tabular_oracle,
+    ArenaRewardError,
+    ArenaScenario,
+    EpsilonGreedyPolicy,
+    StaticPolicy,
 )
 
+from tests.table_arena import (
+    ARMS,
+    COSTLY,
+    FREE,
+    GAME,
+    PAPER,
+    ForcedPolicy,
+    GreedyPolicy,
+    StickyPolicy,
+    TableArena,
+)
 
-def scenario(**overrides) -> TabularScenario:
-    base = dict(
-        phase_sequence=(0, 1, 0, 1, 1),
-        rewards=((1.0, 0.5), (0.2, 0.9)),
-        switch_cost=((0.0, 0.3), (0.3, 0.0)),
-        overhead_multiplier=1.0,
-    )
-    base.update(overrides)
-    return TabularScenario(**base)
+A, B = ARMS[:2]
+PHASES = (0, 1, 0, 1, 1)
+#: Arm A is better in phase 0, arm B four times faster in phase 1.
+TABLE = (((20.0, 1e4), (25.0, 1e4)),
+         ((80.0, 1e4), (20.0, 1e4)))
+PUNITIVE = ArenaScenario("punitive", overhead_multiplier=2000.0)
+
+
+def game(phases=PHASES, table=TABLE) -> TableArena:
+    return TableArena(phases, table)
+
+
+def penalty(arena, interval, source, target, scenario=PAPER) -> float:
+    """Reward lost to the charge of switching into ``target``."""
+    return (arena.uncharged_reward(interval, target)
+            - arena.charged_reward(interval, source, target, scenario))
 
 
 class TestScenarioValidation:
-    def test_valid_scenario_builds(self):
-        s = scenario()
-        assert s.n_arms == 2 and s.n_steps == 5
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            scenario(phase_sequence=())
-
     def test_nan_reward_rejected(self):
-        """The tabular negative-reward guard: unscorable rewards are
-        refused at construction, like ArenaRewardError in the harness."""
-        with pytest.raises(ValueError, match="unscorable"):
-            scenario(rewards=((1.0, float("nan")), (0.2, 0.9)))
+        """The arena's reward guard refuses an unscorable table entry the
+        moment a run prices it."""
+        arena = game(table=(((float("nan"), 1e4), (25.0, 1e4)),
+                            ((80.0, 1e4), (20.0, 1e4))))
+        with pytest.raises(ArenaRewardError, match="unscorable"):
+            arena.run_policy(StaticPolicy(A), GAME, PAPER)
 
     def test_infinite_reward_rejected(self):
-        with pytest.raises(ValueError, match="unscorable"):
-            scenario(rewards=((1.0, float("inf")), (0.2, 0.9)))
-
-    def test_negative_switch_cost_rejected(self):
-        with pytest.raises(ValueError):
-            scenario(switch_cost=((0.0, -0.1), (0.3, 0.0)))
-
-    def test_nonzero_diagonal_rejected(self):
-        with pytest.raises(ValueError, match="staying put"):
-            scenario(switch_cost=((0.5, 0.3), (0.3, 0.0)))
-
-    def test_ragged_rewards_rejected(self):
-        with pytest.raises(ValueError):
-            scenario(rewards=((1.0, 0.5), (0.2,)))
-
-    def test_sequence_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            scenario(phase_sequence=(0, 2))
+        arena = game(table=(((20.0, float("inf")), (25.0, 1e4)),
+                            ((80.0, 1e4), (20.0, 1e4))))
+        with pytest.raises(ArenaRewardError, match="unscorable"):
+            arena.run_policy(StaticPolicy(A), GAME, PAPER)
 
     def test_negative_multiplier_rejected(self):
         with pytest.raises(ValueError):
-            scenario(overhead_multiplier=-1.0)
+            ArenaScenario("bad", overhead_multiplier=-1.0)
 
     def test_single_step_scenario_allowed(self):
-        """Single-phase/single-step games are legal edge cases."""
-        s = scenario(phase_sequence=(0,))
-        run = run_tabular(TabularStatic(1), s)
-        assert run.switches == 0
-        assert run.net_reward == s.rewards[0][1]
+        """Single-phase/single-interval games are legal edge cases."""
+        arena = game(phases=(0,))
+        run = arena.run_policy(StaticPolicy(B), GAME, PAPER)
+        assert run.reconfigurations == 0
+        assert run.net_reward == arena.uncharged_reward(0, B)
+        oracle = arena.oracle_run(GAME, PAPER, arena.arms)
+        assert oracle.decisions == [A]
 
 
 class TestRunMechanics:
     def test_charges_subtracted_on_switch(self):
-        s = scenario(phase_sequence=(0, 1))
-        run = run_tabular(TabularForced((0, 1)), s)
-        assert run.switches == 1
-        assert run.rewards[1] == pytest.approx(0.9 - 0.3)
+        arena = game(phases=(0, 1))
+        run = arena.run_policy(ForcedPolicy((A, B)), GAME, PAPER)
+        assert run.reconfigurations == 1
+        assert run.records[1].stall_ns > 0.0
+        assert run.rewards[1] == arena.charged_reward(1, A, B, PAPER)
+        assert run.rewards[1] < arena.uncharged_reward(1, B)
 
     def test_first_step_never_charged(self):
-        s = scenario(phase_sequence=(0,), overhead_multiplier=100.0)
-        run = run_tabular(TabularForced((1,)), s)
-        assert run.switches == 0
-        assert run.net_reward == s.rewards[0][1]
+        arena = game(phases=(0,))
+        scenario = ArenaScenario("x100", overhead_multiplier=100.0)
+        run = arena.run_policy(ForcedPolicy((B,)), GAME, scenario)
+        assert run.reconfigurations == 0
+        assert run.net_reward == arena.uncharged_reward(0, B)
 
     def test_multiplier_scales_charges(self):
-        s1 = scenario(phase_sequence=(0, 1))
-        s2 = s1.with_multiplier(2.0)
-        r1 = run_tabular(TabularForced((0, 1)), s1)
-        r2 = run_tabular(TabularForced((0, 1)), s2)
-        assert r1.net_reward - r2.net_reward == pytest.approx(0.3)
-
-    def test_unknown_arm_rejected(self):
-        with pytest.raises(ValueError, match="unknown arm"):
-            run_tabular(TabularForced((7,) * 5), scenario())
+        arena = game(phases=(0, 1))
+        double = ArenaScenario("x2", overhead_multiplier=2.0)
+        once = arena.run_policy(ForcedPolicy((A, B)), GAME, PAPER)
+        twice = arena.run_policy(ForcedPolicy((A, B)), GAME, double)
+        assert twice.records[1].stall_ns == pytest.approx(
+            2.0 * once.records[1].stall_ns)
+        assert twice.net_reward < once.net_reward
 
     def test_static_policy_scores_static_score_exactly(self):
-        s = scenario()
-        for arm in range(s.n_arms):
-            run = run_tabular(TabularStatic(arm), s)
+        arena = game()
+        for arm in arena.arms:
+            run = arena.run_policy(StaticPolicy(arm), GAME, COSTLY)
             # Bit-exact: identical left-to-right float summation.
-            assert run.net_reward == static_score(s, arm)
-            assert run.switches == 0
+            assert run.net_reward == arena.static_reference(
+                GAME, arm, COSTLY).net_reward
+            assert run.reconfigurations == 0
 
 
 class TestOracle:
     def test_known_optimum(self):
-        """Hand-checkable: with a 0.3 switch cost the oracle commits to
-        arm 1 at the first 0->1 phase flip and stays."""
-        s = scenario()
-        oracle = tabular_oracle(s)
-        assert oracle.choices == (0, 1, 1, 1, 1)
-        assert oracle.net_reward == pytest.approx(1.0 + 0.6 + 0.5 + 0.9 + 0.9)
+        """Hand-checkable: arm B's phase-1 gain dwarfs any charge, and
+        arm A's phase-0 gain g0 is set between one and two switch
+        penalties.  The oracle then switches to B at the first phase flip
+        and stays: switching back for the phase-0 interval would pay two
+        penalties to gain g0, and starting on B would forgo g0 to save
+        one."""
+        probe = game()
+        p_into_b = penalty(probe, 1, A, B)
+        p_into_a = penalty(probe, 2, B, A)
+        g0 = p_into_b + p_into_a / 2
+        # reward = log(ips^3/W) falls by 2*log(t) when time grows by t.
+        slow_b = 20.0 * math.exp(g0 / 2)
+        arena = game(table=(((20.0, 1e4), (slow_b, 1e4)),
+                            ((80.0, 1e4), (20.0, 1e4))))
+        oracle = arena.oracle_run(GAME, PAPER, arena.arms)
+        assert oracle.decisions == [A, B, B, B, B]
+        assert oracle.reconfigurations == 1
+        expected = (arena.uncharged_reward(0, A)
+                    + arena.charged_reward(1, A, B, PAPER)
+                    + arena.uncharged_reward(2, B)
+                    + arena.uncharged_reward(3, B)
+                    + arena.uncharged_reward(4, B))
+        assert oracle.net_reward == pytest.approx(expected)
 
     def test_punitive_overheads_make_oracle_static(self):
         """When every switch costs more than any gain, the optimal
         sequence is a static one — the stay-put limit."""
-        s = scenario(overhead_multiplier=50.0)
-        oracle = tabular_oracle(s)
-        assert oracle.switches == 0
-        best_static = max(static_score(s, arm) for arm in range(s.n_arms))
-        assert oracle.net_reward == pytest.approx(best_static)
+        arena = game()
+        oracle = arena.oracle_run(GAME, PUNITIVE, arena.arms)
+        assert oracle.reconfigurations == 0
+        best_static = max(arena.static_reference(GAME, arm, PUNITIVE)
+                          .net_reward for arm in arena.arms)
+        assert oracle.net_reward == best_static
 
     def test_free_switching_tracks_greedy(self):
-        s = scenario(overhead_multiplier=0.0)
-        oracle = tabular_oracle(s)
-        greedy = run_tabular(TabularGreedy(s), s)
-        assert oracle.net_reward == pytest.approx(greedy.net_reward)
+        arena = game()
+        oracle = arena.oracle_run(GAME, FREE, arena.arms)
+        greedy = arena.run_policy(GreedyPolicy(arena), GAME, FREE)
+        assert greedy.decisions == [A, B, A, B, B]
+        assert oracle.net_reward == greedy.net_reward
 
     def test_dominates_fixed_policies(self):
-        s = scenario()
-        oracle = tabular_oracle(s)
-        rivals = [TabularGreedy(s), TabularSticky(s), TabularStatic(0),
-                  TabularStatic(1), TabularRandom(s.n_arms, seed=3)]
+        arena = game()
+        oracle = arena.oracle_run(GAME, PAPER, arena.arms)
+        rivals = [GreedyPolicy(arena), StickyPolicy(arena, PAPER),
+                  StaticPolicy(A), StaticPolicy(B),
+                  EpsilonGreedyPolicy(arena.arms, seed=3)]
         for rival in rivals:
-            assert oracle.net_reward >= run_tabular(rival, s).net_reward
+            run = arena.run_policy(rival, GAME, PAPER)
+            assert oracle.net_reward >= run.net_reward
 
 
 class TestPolicies:
     def test_sticky_stays_put_when_cost_exceeds_gain(self):
         """Hysteresis edge case: overhead larger than any achievable
         gain means the sticky policy never switches."""
-        s = scenario(overhead_multiplier=50.0)
-        run = run_tabular(TabularSticky(s), s)
-        assert run.switches == 0
+        arena = game()
+        run = arena.run_policy(StickyPolicy(arena, PUNITIVE), GAME, PUNITIVE)
+        assert run.reconfigurations == 0
 
     def test_sticky_switches_when_gain_justifies(self):
-        s = scenario(overhead_multiplier=0.1)
-        run = run_tabular(TabularSticky(s), s)
-        assert run.switches >= 1
+        arena = game()
+        run = arena.run_policy(StickyPolicy(arena, PAPER), GAME, PAPER)
+        assert run.reconfigurations >= 1
 
     def test_random_is_reproducible(self):
-        s = scenario()
-        first = run_tabular(TabularRandom(s.n_arms, seed=9), s)
-        second = run_tabular(TabularRandom(s.n_arms, seed=9), s)
-        assert first == second
+        arena = game()
+        first = arena.run_policy(EpsilonGreedyPolicy(arena.arms, seed=9),
+                                 GAME, PAPER)
+        second = arena.run_policy(EpsilonGreedyPolicy(arena.arms, seed=9),
+                                  GAME, PAPER)
+        assert first.decisions == second.decisions
+        assert first.rewards == second.rewards

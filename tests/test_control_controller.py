@@ -1,13 +1,23 @@
-"""Tests for the adaptive controller (the figure 2 loop)."""
+"""Tests for the paper's controller (the figure 2 loop).
+
+The controller is :class:`~repro.control.arena.SoftmaxPolicy` run through
+the arena loop; these tests pin its behaviour on a two-phase program.
+"""
 
 import numpy as np
 import pytest
 
 from repro.config import DesignSpace, PROFILING_CONFIG
-from repro.control import AdaptiveController, CycleIntervalRunner
+from repro.control.arena import (
+    DEFAULT_SCENARIOS,
+    Arena,
+    SoftmaxPolicy,
+)
 from repro.counters import BasicFeatureExtractor
 from repro.model import ConfigurationPredictor
 from repro.workloads import PhaseSpec, Program
+
+PAPER, FREE, _ = DEFAULT_SCENARIOS
 
 
 @pytest.fixture(scope="module")
@@ -37,39 +47,43 @@ def program():
                    interval_length=3000, seed=4)
 
 
-def make_controller(trained_predictor, **kwargs):
-    return AdaptiveController(
-        trained_predictor, BasicFeatureExtractor(), **kwargs
-    )
+@pytest.fixture(scope="module")
+def arena(program, baseline_config):
+    return Arena({"ctl": program}, baseline_config)
+
+
+def run(arena, trained_predictor, scenario=PAPER):
+    policy = SoftmaxPolicy(trained_predictor, feature_set="basic")
+    return arena.run_policy(policy, "ctl", scenario)
 
 
 class TestAdaptiveRun:
-    def test_runs_all_intervals(self, trained_predictor, program):
-        report = make_controller(trained_predictor).run(program)
+    def test_runs_all_intervals(self, arena, trained_predictor, program):
+        report = run(arena, trained_predictor)
         assert report.intervals == program.n_intervals
         assert report.time_ns > 0 and report.energy_pj > 0
 
-    def test_profiles_each_new_phase_once(self, trained_predictor, program):
-        report = make_controller(trained_predictor).run(program)
+    def test_profiles_each_new_phase_once(self, arena, trained_predictor):
+        report = run(arena, trained_predictor)
         # Two distinct phases: two profiling intervals (recurrence
         # reuses); an occasional mid-phase false split adds at most one.
-        assert 2 <= report.profiling_intervals <= 3
+        assert 2 <= report.profiled_intervals <= 3
 
-    def test_reconfigures_sparsely(self, trained_predictor, program):
-        report = make_controller(trained_predictor).run(program)
+    def test_reconfigures_sparsely(self, arena, trained_predictor):
+        report = run(arena, trained_predictor)
         assert report.reconfiguration_rate <= 0.5
         assert report.reconfigurations >= 2
 
-    def test_profiling_interval_runs_profiling_config(self, trained_predictor,
-                                                      program):
-        report = make_controller(trained_predictor).run(program)
+    def test_profiling_interval_runs_profiling_config(self, arena,
+                                                      trained_predictor):
+        report = run(arena, trained_predictor)
         for record in report.records:
             if record.profiled:
                 assert record.config == PROFILING_CONFIG
 
-    def test_recurring_phase_reuses_prediction(self, trained_predictor,
-                                               program):
-        report = make_controller(trained_predictor).run(program)
+    def test_recurring_phase_reuses_prediction(self, arena,
+                                               trained_predictor):
+        report = run(arena, trained_predictor)
         configs = {}
         for record in report.records:
             if not record.profiled and record.phase_id >= 0:
@@ -77,55 +91,38 @@ class TestAdaptiveRun:
         for phase_id, used in configs.items():
             assert len(used) == 1
 
-    def test_max_intervals(self, trained_predictor, program):
-        report = make_controller(trained_predictor).run(program,
-                                                        max_intervals=4)
-        assert report.intervals == 4
+    def test_max_intervals(self, program, baseline_config,
+                           trained_predictor):
+        capped = Arena({"ctl": program}, baseline_config, max_intervals=4)
+        assert run(capped, trained_predictor).intervals == 4
 
-    def test_overheads_accounted(self, trained_predictor, program):
-        with_overheads = make_controller(
-            trained_predictor, overheads_enabled=True).run(program)
-        without = make_controller(
-            trained_predictor, overheads_enabled=False).run(program)
+    def test_overheads_accounted(self, arena, trained_predictor):
+        with_overheads = run(arena, trained_predictor, PAPER)
+        without = run(arena, trained_predictor, FREE)
         assert with_overheads.overhead_time_ns > 0
         assert without.overhead_time_ns == 0
         assert with_overheads.time_ns > without.time_ns
 
-    def test_overheads_are_small(self, trained_predictor, program):
+    def test_overheads_are_small(self, arena, trained_predictor):
         """Paper section VIII: overheads amortise to a few percent."""
-        with_overheads = make_controller(
-            trained_predictor, overheads_enabled=True).run(program)
-        without = make_controller(
-            trained_predictor, overheads_enabled=False).run(program)
+        with_overheads = run(arena, trained_predictor, PAPER)
+        without = run(arena, trained_predictor, FREE)
         assert with_overheads.time_ns / without.time_ns < 1.15
 
     def test_untrained_predictor_rejected(self):
         with pytest.raises(ValueError):
-            AdaptiveController(ConfigurationPredictor(),
-                               BasicFeatureExtractor())
+            SoftmaxPolicy(ConfigurationPredictor())
 
 
 class TestStaticRun:
-    def test_static_never_reconfigures(self, trained_predictor, program,
-                                       baseline_config):
-        report = make_controller(trained_predictor).run_static(
-            program, baseline_config)
+    def test_static_never_reconfigures(self, arena, baseline_config):
+        report = arena.static_reference("ctl", baseline_config, PAPER)
         assert report.reconfigurations == 0
-        assert report.profiling_intervals == 0
+        assert report.profiled_intervals == 0
         assert all(r.config == baseline_config for r in report.records)
 
-    def test_efficiency_computable(self, trained_predictor, program,
-                                   baseline_config):
-        report = make_controller(trained_predictor).run_static(
-            program, baseline_config, max_intervals=3)
+    def test_efficiency_computable(self, program, baseline_config):
+        capped = Arena({"ctl": program}, baseline_config, max_intervals=3)
+        report = capped.static_reference("ctl", baseline_config, PAPER)
         total = 3 * program.interval_length
         assert report.efficiency(total) > 0
-
-
-class TestCycleRunner:
-    def test_cycle_runner_agrees_roughly(self, baseline_config, small_trace):
-        from repro.control import FastIntervalRunner
-        cycle = CycleIntervalRunner().run(small_trace, baseline_config)
-        fast = FastIntervalRunner().run(small_trace, baseline_config)
-        assert cycle.ipc > 0 and fast.ipc > 0
-        assert 0.3 < fast.ipc / cycle.ipc < 3.0

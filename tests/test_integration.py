@@ -13,7 +13,7 @@ from repro import (
     collect_counters,
     spec2000_suite,
 )
-from repro.control import AdaptiveController
+from repro.control.arena import DEFAULT_SCENARIOS, Arena, SoftmaxPolicy
 from repro.experiments.baselines import geomean
 from repro.phases import extract_phases
 
@@ -104,10 +104,11 @@ class TestSimPointToControllerFlow:
         predictor = ConfigurationPredictor(max_iterations=40)
         predictor.fit_evaluations(features, evaluations)
 
-        controller = AdaptiveController(predictor, extractor)
-        report = controller.run(program, max_intervals=12)
+        arena = Arena({program.name: program}, pool[0], max_intervals=12)
+        report = arena.run_policy(SoftmaxPolicy(predictor), program.name,
+                                  DEFAULT_SCENARIOS[0])
         assert report.intervals == 12
-        assert report.profiling_intervals >= 1
+        assert report.profiled_intervals >= 1
         assert report.reconfiguration_rate < 0.7
         assert report.energy_pj > 0 and report.time_ns > 0
 

@@ -63,10 +63,15 @@ class TestBBVPhaseDetector:
         assert agreement >= 0.7 * program.n_intervals
 
     def test_drives_the_controller(self, program):
-        """The controller accepts either detector implementation."""
+        """The arena's control loop accepts either detector
+        implementation."""
         import numpy as np
         from repro.config import DesignSpace
-        from repro.control import AdaptiveController
+        from repro.control.arena import (
+            DEFAULT_SCENARIOS,
+            Arena,
+            SoftmaxPolicy,
+        )
         from repro.counters import BasicFeatureExtractor
         from repro.model import ConfigurationPredictor
 
@@ -78,10 +83,10 @@ class TestBBVPhaseDetector:
              for _ in range(6)],
             [[space.random_configuration()] for _ in range(6)],
         )
-        controller = AdaptiveController(
-            predictor, BasicFeatureExtractor(),
-            detector=BBVPhaseDetector(),
-        )
-        report = controller.run(program, max_intervals=6)
+        arena = Arena({"bbv": program}, space.random_configuration(),
+                      max_intervals=6, detector_factory=BBVPhaseDetector)
+        report = arena.run_policy(
+            SoftmaxPolicy(predictor, feature_set="basic"), "bbv",
+            DEFAULT_SCENARIOS[0])
         assert report.intervals == 6
-        assert report.profiling_intervals >= 1
+        assert report.profiled_intervals >= 1

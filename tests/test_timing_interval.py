@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.timing import IntervalEvaluator, characterize, derive_machine_params
+from repro.timing import (
+    CycleSimulator,
+    IntervalEvaluator,
+    characterize,
+    derive_machine_params,
+)
 from repro.workloads import PhaseSpec, TraceGenerator
 
 
@@ -49,6 +54,14 @@ class TestEvaluate:
     def test_ipc_plausible(self, evaluator, char, baseline_config):
         result = evaluator.evaluate(char, baseline_config)
         assert 0.05 < result.ipc <= baseline_config.width
+
+    def test_ipc_agrees_roughly_with_cycle_model(self, evaluator,
+                                                 baseline_config,
+                                                 small_trace):
+        cycle = CycleSimulator(baseline_config).run(small_trace)
+        fast = evaluator.evaluate(characterize(small_trace), baseline_config)
+        assert cycle.ipc > 0 and fast.ipc > 0
+        assert 0.3 < fast.ipc / cycle.ipc < 3.0
 
 
 class TestMonotonicities:
