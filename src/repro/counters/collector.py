@@ -20,10 +20,11 @@ Table II:
   misprediction rate;
 * **Pipeline depth** — cycles per instruction.
 
-The occupancy/port counters are observed per cycle by the
-:class:`OccupancyCollector` plugged into the simulator; the distance
-counters derive from the access streams themselves (they are properties of
-the phase, gathered by the profiling hardware in the paper).
+The occupancy/port counters come from the per-cycle samples the
+simulator records and hands to an :class:`OccupancyCollector` once, when
+the run ends; the distance counters derive from the access streams
+themselves (they are properties of the phase, gathered by the profiling
+hardware in the paper).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.config.configuration import PROFILING_CONFIG, MicroarchConfig
 from repro.config.parameters import parameter_by_name
 from repro.counters.histograms import TemporalHistogram, log2_histogram
@@ -40,8 +42,8 @@ from repro.timing.caches import (
     set_reuse_distances,
     stack_distances,
 )
-from repro.timing.cycle import CycleSimulator, SimResult
-from repro.timing.resources import ARCH_REGS, CACHE_BLOCK_BYTES, OpClass
+from repro.timing.cycle import CycleSimulator
+from repro.timing.resources import ARCH_REGS, CACHE_BLOCK_BYTES
 from repro.workloads.trace import Trace
 
 __all__ = ["PhaseCounters", "CacheCounters", "OccupancyCollector",
@@ -120,7 +122,12 @@ class PhaseCounters:
 
 
 class OccupancyCollector:
-    """Cycle-simulator hook recording per-cycle structure usage."""
+    """Per-cycle structure usage of one profiling run.
+
+    :meth:`CycleSimulator.run <repro.timing.cycle.CycleSimulator.run>`
+    records the samples and fills the collector once, at the end of the
+    run, through :meth:`finish`.
+    """
 
     def __init__(self, config: MicroarchConfig) -> None:
         self.config = config
@@ -153,73 +160,12 @@ class OccupancyCollector:
         self.dispatched_mem = 0
         self.squashed = 0
         self.squashed_mem = 0
-        # Raw per-cycle samples; histogram construction happens once in
-        # finish() (building per cycle would dominate simulation time).
-        self._samples: dict[str, list[int]] = {
-            name: []
-            for name in ("alu", "memport", "rob", "iq", "lsq", "intreg",
-                         "fpreg", "rdport", "wrport")
-        }
 
-    # -- simulator hooks -----------------------------------------------------
-
-    def begin(self, core: object) -> None:  # noqa: D401 - hook
-        """Called once before the first cycle."""
-
-    def on_cycle(self, core) -> None:
-        self.cycles += 1
-        issued = core.issued_by_class
-        samples = self._samples
-        samples["alu"].append(
-            issued[OpClass.IALU] + issued[OpClass.IMUL]
-            + issued[OpClass.FALU] + issued[OpClass.FMUL]
-            + issued[OpClass.BRANCH]
-        )
-        samples["memport"].append(core.mem_ports_used)
-        rob_count = len(core.rob)
-        samples["rob"].append(rob_count)
-        samples["iq"].append(core.iq_count)
-        samples["lsq"].append(core.lsq_count)
-        int_regs = core.int_regs_used
-        fp_regs = core.fp_regs_used
-        samples["intreg"].append(int_regs)
-        samples["fpreg"].append(fp_regs)
-        samples["rdport"].append(
-            core.rd_ports_int_used + core.rd_ports_fp_used
-        )
-        samples["wrport"].append(
-            core.wb_int_this_cycle + core.wb_fp_this_cycle
-        )
-        self.rob_spec_sum += core.rob_spec
-        self.iq_spec_sum += core.iq_spec
-        self.lsq_spec_sum += core.lsq_spec
-        self.rob_occ_sum += rob_count
-        self.iq_occ_sum += core.iq_count
-        self.lsq_occ_sum += core.lsq_count
-        self.int_reg_sum += int_regs
-        self.fp_reg_sum += fp_regs
-
-    def on_dispatch(self, core, i: int, speculative: bool,
-                    wrong_path: bool) -> None:
-        self.dispatched += 1
-        op = core.ops[i]
-        if op == OpClass.LOAD or op == OpClass.STORE:
-            self.dispatched_mem += 1
-
-    def on_issue(self, core, i: int) -> None:  # noqa: D401 - hook
-        """Per-issue hook (port usage is read per cycle instead)."""
-
-    def on_commit(self, core, i: int) -> None:  # noqa: D401 - hook
-        """Per-commit hook."""
-
-    def on_squash(self, core, i: int) -> None:
-        self.squashed += 1
-        op = core.ops[i]
-        if op == OpClass.LOAD or op == OpClass.STORE:
-            self.squashed_mem += 1
-
-    def finish(self, core, result: SimResult) -> None:
-        """Build the occupancy histograms from the per-cycle samples."""
+    def finish(self, samples: dict[str, np.ndarray],
+               counts: dict[str, int]) -> None:
+        """Build the histograms and sums from one run's per-cycle
+        ``samples`` (keyed by :data:`~repro.timing.cycle.SAMPLE_COLUMNS`)
+        and its dispatch and squash ``counts``."""
         targets = {
             "alu": self.alu_usage, "memport": self.mem_port_usage,
             "rob": self.rob_usage, "iq": self.iq_usage,
@@ -228,7 +174,21 @@ class OccupancyCollector:
             "wrport": self.wr_port_usage,
         }
         for name, histogram in targets.items():
-            histogram.add_many(np.asarray(self._samples[name], dtype=np.int64))
+            histogram.add_many(samples[name])
+        total = {name: int(column.sum()) for name, column in samples.items()}
+        self.cycles = len(samples["rob"])
+        self.rob_spec_sum = total["robspec"]
+        self.iq_spec_sum = total["iqspec"]
+        self.lsq_spec_sum = total["lsqspec"]
+        self.rob_occ_sum = total["rob"]
+        self.iq_occ_sum = total["iq"]
+        self.lsq_occ_sum = total["lsq"]
+        self.int_reg_sum = total["intreg"]
+        self.fp_reg_sum = total["fpreg"]
+        self.dispatched = counts["dispatched"]
+        self.dispatched_mem = counts["dispatched_mem"]
+        self.squashed = counts["squashed"]
+        self.squashed_mem = counts["squashed_mem"]
 
     # -- summaries -------------------------------------------------------------
 
@@ -294,34 +254,43 @@ def collect_counters(
     :meth:`~repro.timing.cycle.CycleSimulator.run`.
     """
     collector = OccupancyCollector(config)
-    simulator = CycleSimulator(config)
-    result = simulator.run(trace, collector=collector, warm_trace=warm_trace)
+    with obs.span("counters.simulate"):
+        result = CycleSimulator(config).run(trace, collector=collector,
+                                            warm_trace=warm_trace)
     activity = result.activity
-
-    # Cache access streams (block granularity).
-    data_blocks = trace.addr[trace.is_mem] // CACHE_BLOCK_BYTES
-    pc_blocks_all = trace.pc // CACHE_BLOCK_BYTES
-    transitions = np.empty(len(trace), dtype=bool)
-    transitions[0] = True
-    transitions[1:] = pc_blocks_all[1:] != pc_blocks_all[:-1]
-    inst_blocks = pc_blocks_all[transitions]
-    # The L2 sees L1 miss streams; approximate with the interleaved
-    # (data + instruction) block stream, which preserves distances.
-    l2_blocks = np.concatenate([data_blocks, inst_blocks])
 
     def rate(miss: str, access: str) -> float:
         return activity[miss] / activity[access] if activity[access] else 0.0
 
-    icache_sets = _sets(config.icache_size, 4)
-    dcache_sets = _sets(config.dcache_size, 4)
-    l2_sets = _sets(config.l2_size, 8)
-    smallest_icache = _sets(parameter_by_name("icache_size").minimum, 4)
-    smallest_dcache = _sets(parameter_by_name("dcache_size").minimum, 4)
-    smallest_l2 = _sets(parameter_by_name("l2_size").minimum, 8)
-
-    btb_reuse = log2_histogram(
-        block_reuse_distances(trace.pc[trace.is_branch] >> 2), _MAX_DISTANCE
-    )
+    with obs.span("counters.distances"):
+        # Cache access streams (block granularity).
+        data_blocks = trace.addr[trace.is_mem] // CACHE_BLOCK_BYTES
+        pc_blocks_all = trace.pc // CACHE_BLOCK_BYTES
+        transitions = np.empty(len(trace), dtype=bool)
+        transitions[0] = True
+        transitions[1:] = pc_blocks_all[1:] != pc_blocks_all[:-1]
+        inst_blocks = pc_blocks_all[transitions]
+        # The L2 sees L1 miss streams; approximate with the interleaved
+        # (data + instruction) block stream, which preserves distances.
+        l2_blocks = np.concatenate([data_blocks, inst_blocks])
+        icache = _cache_counters(
+            inst_blocks, _sets(config.icache_size, 4),
+            _sets(parameter_by_name("icache_size").minimum, 4),
+            activity["icache_access"], rate("icache_miss", "icache_access"),
+        )
+        dcache = _cache_counters(
+            data_blocks, _sets(config.dcache_size, 4),
+            _sets(parameter_by_name("dcache_size").minimum, 4),
+            activity["dcache_access"], rate("dcache_miss", "dcache_access"),
+        )
+        l2 = _cache_counters(
+            l2_blocks, _sets(config.l2_size, 8),
+            _sets(parameter_by_name("l2_size").minimum, 8),
+            activity["l2_access"], rate("l2_miss", "l2_access"),
+        )
+        btb_reuse = log2_histogram(
+            block_reuse_distances(trace.pc[trace.is_branch] >> 2),
+            _MAX_DISTANCE)
 
     return PhaseCounters(
         alu_usage=collector.alu_usage,
@@ -339,18 +308,9 @@ def collect_counters(
         fp_reg_usage=collector.fp_reg_usage,
         rd_port_usage=collector.rd_port_usage,
         wr_port_usage=collector.wr_port_usage,
-        icache=_cache_counters(
-            inst_blocks, icache_sets, smallest_icache,
-            activity["icache_access"], rate("icache_miss", "icache_access"),
-        ),
-        dcache=_cache_counters(
-            data_blocks, dcache_sets, smallest_dcache,
-            activity["dcache_access"], rate("dcache_miss", "dcache_access"),
-        ),
-        l2=_cache_counters(
-            l2_blocks, l2_sets, smallest_l2,
-            activity["l2_access"], rate("l2_miss", "l2_access"),
-        ),
+        icache=icache,
+        dcache=dcache,
+        l2=l2,
         btb_reuse=btb_reuse,
         mispredict_rate=result.mispredict_rate,
         cpi=1.0 / result.ipc if result.ipc else 0.0,

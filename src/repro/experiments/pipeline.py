@@ -220,13 +220,21 @@ class ExperimentPipeline:
             self.scale.tag, "dse-screen", self.dse.fingerprint(),
             self.dse_pool.digest()[:12], program, phase_id)
 
+    @property
+    def _training_tag(self) -> str:
+        """The training inputs ``ReproScale.tag`` leaves out (the tag
+        seeds the pool and the sweeps, so it cannot grow them)."""
+        scale = self.scale
+        return (f"t{scale.threshold}-r{scale.regularization}"
+                f"-i{scale.max_iterations}")
+
     def _prediction_key(self, feature_set: str, mode: str) -> str:
         return self.store.versioned_key(self.scale.tag, "predictions",
-                                        feature_set, mode)
+                                        feature_set, mode, self._training_tag)
 
     def _full_predictor_key(self, feature_set: str) -> str:
         return self.store.versioned_key(self.scale.tag, "full-predictor",
-                                        feature_set)
+                                        feature_set, self._training_tag)
 
     def phase_data(self, program: str, phase_id: int) -> PhaseData:
         key = self._phase_cache_key(program, phase_id)

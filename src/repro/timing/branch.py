@@ -14,6 +14,8 @@ predictor size).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.timing.caches import previous_access
@@ -24,6 +26,9 @@ __all__ = ["GshareBTB", "btb_misses", "gshare_misses", "simulate_gshare",
 
 class GshareBTB:
     """A gshare direction predictor fused with a direct-mapped BTB.
+
+    The pattern table (two-bit counters, 0..3) and the BTB tags are plain
+    lists, so the cycle-level core reads and trains them inline.
 
     Args:
         gshare_entries: pattern-history-table size (power of two).
@@ -37,19 +42,16 @@ class GshareBTB:
             raise ValueError("btb_entries must be a power of two")
         self.gshare_entries = gshare_entries
         self.btb_entries = btb_entries
-        self._pht = np.full(gshare_entries, 2, dtype=np.int8)  # weakly taken
-        self._pht_mask = gshare_entries - 1
-        self._history_bits = int(gshare_entries).bit_length() - 1
-        self._history = 0
-        self._btb_tag = np.full(btb_entries, -1, dtype=np.int64)
-        self._btb_mask = btb_entries - 1
+        self.pht = [2] * gshare_entries  # weakly taken
+        # The global history holds as many outcomes as the index has bits.
+        self.pht_mask = gshare_entries - 1
+        self.history = 0
+        self.btb_tag = [-1] * btb_entries
+        self.btb_mask = btb_entries - 1
         self.lookups = 0
         self.updates = 0
         self.direction_mispredicts = 0
         self.btb_misses = 0
-
-    def _pht_index(self, pc: int) -> int:
-        return ((pc >> 2) ^ self._history) & self._pht_mask
 
     def predict(self, pc: int) -> tuple[bool, bool]:
         """Predict branch at ``pc``.
@@ -58,9 +60,9 @@ class GshareBTB:
             ``(predicted_taken, btb_hit)``.
         """
         self.lookups += 1
-        taken = self._pht[self._pht_index(pc)] >= 2
-        btb_hit = self._btb_tag[(pc >> 2) & self._btb_mask] == pc
-        return bool(taken), bool(btb_hit)
+        taken = self.pht[((pc >> 2) ^ self.history) & self.pht_mask] >= 2
+        btb_hit = self.btb_tag[(pc >> 2) & self.btb_mask] == pc
+        return taken, btb_hit
 
     def is_mispredict(self, predicted_taken: bool, btb_hit: bool,
                       actual_taken: bool) -> bool:
@@ -71,17 +73,26 @@ class GshareBTB:
 
     def update(self, pc: int, actual_taken: bool) -> None:
         """Train direction counter, global history and BTB with the outcome."""
-        self.updates += 1
-        index = self._pht_index(pc)
-        if actual_taken:
-            self._pht[index] = min(3, self._pht[index] + 1)
-        else:
-            self._pht[index] = max(0, self._pht[index] - 1)
-        self._history = ((self._history << 1) | int(actual_taken)) & (
-            (1 << self._history_bits) - 1 if self._history_bits else 0
-        )
-        if actual_taken:
-            self._btb_tag[(pc >> 2) & self._btb_mask] = pc
+        self.train((pc,), (actual_taken,))
+
+    def train(self, pcs: Sequence[int], taken: Sequence[bool]) -> None:
+        """:meth:`update` with each branch of a stream, in order."""
+        pht, mask, history = self.pht, self.pht_mask, self.history
+        btb_tag, btb_mask = self.btb_tag, self.btb_mask
+        for pc, outcome in zip(pcs, taken):
+            index = ((pc >> 2) ^ history) & mask
+            counter = pht[index]
+            if outcome:
+                if counter < 3:
+                    pht[index] = counter + 1
+                btb_tag[(pc >> 2) & btb_mask] = pc
+                history = ((history << 1) | 1) & mask
+            else:
+                if counter > 0:
+                    pht[index] = counter - 1
+                history = (history << 1) & mask
+        self.history = history
+        self.updates += len(pcs)
 
     def predict_and_update(self, pc: int, actual_taken: bool) -> bool:
         """Trace-driven one-shot: predict, train, return mispredict flag."""

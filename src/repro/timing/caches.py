@@ -37,7 +37,8 @@ __all__ = [
 class Cache:
     """Set-associative LRU cache of ``size_bytes``.
 
-    Each set is a most-recently-used-first list of block ids.
+    Each set is a most-recently-used-first list of block ids, created on
+    the set's first access.
     """
 
     def __init__(
@@ -57,7 +58,7 @@ class Cache:
         self.assoc = assoc
         self.block_bytes = block_bytes
         self.n_sets = n_blocks // assoc
-        self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
+        self._sets: list[list[int] | None] = [None] * self.n_sets
         self.hits = 0
         self.misses = 0
 
@@ -76,27 +77,30 @@ class Cache:
         """Access the block containing ``addr``; returns hit/miss and
         updates LRU state (allocate-on-miss, for reads and writes alike)."""
         block = addr // self.block_bytes
-        ways = self._sets[block % self.n_sets]
-        try:
-            ways.remove(block)
-            hit = True
+        index = block % self.n_sets
+        ways = self._sets[index]
+        if ways is None:
+            ways = self._sets[index] = []
+        if block in ways:
             self.hits += 1
-        except ValueError:
-            hit = False
-            self.misses += 1
-            if len(ways) >= self.assoc:
-                ways.pop()
+            if ways[0] != block:
+                ways.remove(block)
+                ways.insert(0, block)
+            return True
+        self.misses += 1
+        if len(ways) >= self.assoc:
+            ways.pop()
         ways.insert(0, block)
-        return hit
+        return False
 
     def probe(self, addr: int) -> bool:
         """Hit check without state update."""
         block = addr // self.block_bytes
-        return block in self._sets[block % self.n_sets]
+        return block in (self._sets[block % self.n_sets] or ())
 
     def flush(self) -> None:
         """Invalidate all contents (used on cache reconfiguration)."""
-        self._sets = [[] for _ in range(self.n_sets)]
+        self._sets = [None] * self.n_sets
 
     def reset_stats(self) -> None:
         self.hits = 0

@@ -20,9 +20,12 @@ Table I design space:
 * an L1I/L1D/L2 cache hierarchy with size-dependent (Cacti) latencies;
 * activity accounting for the Wattch power model.
 
-A :class:`CycleSimulator` optionally drives a *collector* (see
-:mod:`repro.counters.collector`) which observes per-cycle occupancies to
-build the paper's temporal-histogram hardware counters.
+The whole pipeline runs as one loop over local variables, in a fixed
+per-cycle stage order: completions (write-back, wake-up, squash) →
+commit → issue → fetch/dispatch → observe.  A :class:`CycleSimulator`
+optionally records every cycle's structure occupancies for a *collector*
+(see :mod:`repro.counters.collector`), which builds the paper's
+temporal-histogram hardware counters from them once the run ends.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Any
+
+import numpy as np
 
 from repro.config.configuration import MicroarchConfig
 from repro.timing.branch import GshareBTB
@@ -43,21 +49,24 @@ from repro.timing.resources import (
 )
 from repro.workloads.trace import Trace
 
-__all__ = ["CycleSimulator", "SimResult", "SimulationError"]
+__all__ = ["CycleSimulator", "SimResult", "SimulationError", "SAMPLE_COLUMNS"]
 
 _DEST_NONE, _DEST_INT, _DEST_FP = 0, 1, 2
+_POOL_IALU, _POOL_FP, _POOL_MEM = 0, 1, 2
 
-_DEST_FILE = {
-    OpClass.IALU: _DEST_INT,
-    OpClass.IMUL: _DEST_INT,
-    OpClass.FALU: _DEST_FP,
-    OpClass.FMUL: _DEST_FP,
-    OpClass.LOAD: _DEST_INT,
-    OpClass.STORE: _DEST_NONE,
-    OpClass.BRANCH: _DEST_NONE,
-}
+#: Destination register file of each op class (indexed by code).
+_DEST_FILE = np.array([_DEST_INT, _DEST_INT, _DEST_FP, _DEST_FP, _DEST_INT,
+                       _DEST_NONE, _DEST_NONE])
+#: Issue pool of each op class: branches resolve on an integer ALU.
+_POOL = np.array([_POOL_IALU, _POOL_IALU, _POOL_FP, _POOL_FP, _POOL_MEM,
+                  _POOL_MEM, _POOL_IALU])
 
-_FP_OPS = (OpClass.FALU, OpClass.FMUL)
+#: The per-cycle samples a run records for a collector: ALU-class and
+#: memory-port issues, ROB/IQ/LSQ occupancy, integer and FP registers in
+#: use, register-file read and write ports used, and the speculative
+#: ROB/IQ/LSQ entries.
+SAMPLE_COLUMNS = ("alu", "memport", "rob", "iq", "lsq", "intreg", "fpreg",
+                  "rdport", "wrport", "robspec", "iqspec", "lsqspec")
 
 
 class SimulationError(RuntimeError):
@@ -112,11 +121,15 @@ class CycleSimulator:
 
         Args:
             trace: committed-path instruction stream.
-            collector: optional hardware-counter collector; must provide
-                ``begin(core)``, ``on_cycle(core)``, ``on_dispatch(core, i,
-                speculative, wrong_path)``, ``on_issue(core, i)``,
-                ``on_commit(core, i)``, ``on_squash(core, i)`` and
-                ``finish(core, result)``.
+            collector: optional hardware-counter collector.  The run then
+                records one sample per cycle of each of
+                :data:`SAMPLE_COLUMNS` and, once the trace has committed,
+                fills the collector with a single
+                ``finish(samples, counts)`` call: ``samples`` maps each
+                column name to its per-cycle ``int64`` array, and
+                ``counts`` holds the ``dispatched``, ``dispatched_mem``,
+                ``squashed`` and ``squashed_mem`` totals.  A run the
+                watchdog stops leaves the collector untouched.
             warm: pre-train caches and branch predictor with one functional
                 pass before the timed run, standing in for the paper's
                 10M-instruction warm-up (phases are stationary, so the
@@ -128,538 +141,451 @@ class CycleSimulator:
                 sequence, deflating misprediction rates.  Caches warm on
                 ``trace`` itself either way (re-touching the same blocks is
                 exactly what steady-state loops do).
+
+        Raises:
+            SimulationError: when the trace has not committed after
+                ``1000 + max_cycles_per_instruction * len(trace)`` cycles.
         """
-        core = _CoreState(self.params, trace, collector)
-        if warm:
-            core.warm_state(warm_trace)
-        result = core.execute(self.max_cycles_per_instruction)
-        if collector is not None:
-            collector.finish(core, result)
-        return result
+        return _simulate(self.params, trace, collector, warm, warm_trace,
+                         self.max_cycles_per_instruction)
 
 
-class _CoreState:
-    """Mutable simulation state (one per run)."""
+def _warm_state(hier: CacheHierarchy, bp: GshareBTB, trace: Trace,
+                warm_trace: Trace | None) -> None:
+    """Functional pass training caches, gshare and BTB (no timing).
 
-    def __init__(self, params: MachineParams, trace: Trace,
-                 collector: object | None) -> None:
-        self.params = params
-        self.trace = trace
-        self.collector = collector
-        config = params.config
+    The caches see the trace's instruction-block fetches and data
+    accesses in program order (a fetch before its own data access); the
+    predictor trains on ``warm_trace``'s branches, or the trace's own.
+    """
+    blocks = trace.pc // CACHE_BLOCK_BYTES
+    fetches = np.flatnonzero(blocks != np.concatenate(([-1], blocks[:-1])))
+    data = np.flatnonzero(trace.is_mem)
+    order = np.argsort(np.concatenate((2 * fetches, 2 * data + 1)))
+    addrs = np.concatenate((trace.pc[fetches], trace.addr[data]))[order]
+    l1i, l1d, l2 = hier.l1i.access, hier.l1d.access, hier.l2.access
+    for is_data, address in zip((order >= len(fetches)).tolist(),
+                                addrs.tolist()):
+        if not (l1d(address) if is_data else l1i(address)):
+            l2(address)
+    source = trace if warm_trace is None else warm_trace
+    branch = source.is_branch
+    bp.train(source.pc[branch].tolist(), source.taken[branch].tolist())
+    for cache in (hier.l1i, hier.l1d, hier.l2):
+        cache.reset_stats()
 
-        n = len(trace)
-        self.n = n
-        # Hot-loop copies of the trace as plain Python lists.
-        self.ops = trace.ops.tolist()
-        self.src1 = trace.src1.tolist()
-        self.src2 = trace.src2.tolist()
-        self.addr = trace.addr.tolist()
-        self.pc = trace.pc.tolist()
-        self.taken = trace.taken.tolist()
 
-        # Per-index instruction state (reset on (re)dispatch).
-        self.gen = [0] * n
-        self.in_flight = [False] * n
-        self.issued = [False] * n
-        self.completed = [False] * n
-        self.committed = [False] * n
-        self.wrong_path = [False] * n
-        self.speculative = [False] * n
-        self.waiting = [0] * n
-        self.ready_at = [0] * n
-        self.wb_cycle = [0] * n
-        self.complete_cycle = [0] * n
-        self.mispredicted = [False] * n
+def _simulate(params: MachineParams, trace: Trace, collector: Any,
+              warm: bool, warm_trace: Trace | None,
+              max_cycles_per_instruction: int) -> SimResult:
+    config = params.config
+    hier = CacheHierarchy(params)
+    bp = GshareBTB(config.gshare_size, config.btb_size)
+    if warm:
+        _warm_state(hier, bp, trace, warm_trace)
 
-        # Machinery.
-        self.rob: deque[int] = deque()
-        self.ready_heap: list[int] = []
-        self.events: list[tuple[int, int, int]] = []  # (cycle, idx, gen)
-        self.dependents: dict[int, list[tuple[int, int]]] = {}
-        self.unissued_stores: list[int] = []
-        self.wb_counts: dict[tuple[int, int], int] = {}
+    # The trace, and what each stage derives from an instruction, as
+    # plain per-instruction lists.
+    n = len(trace)
+    ops = trace.ops.tolist()
+    src1 = trace.src1.tolist()
+    src2 = trace.src2.tolist()
+    addr = trace.addr.tolist()
+    pcs = trace.pc.tolist()
+    taken = trace.taken.tolist()
+    dest_of = _DEST_FILE[trace.ops].tolist()
+    pool_of = _POOL[trace.ops].tolist()
+    is_mem = trace.is_mem.tolist()
+    sources = (trace.src1 != 0).astype(np.int64) + (trace.src2 != 0)
+    # Register-file read ports an issue takes (memory ops at least one).
+    ports_of = np.where(trace.is_mem, np.maximum(sources, 1),
+                        sources).tolist()
+    iblock = (trace.pc // CACHE_BLOCK_BYTES).tolist()
 
-        # Resources.
-        self.iq_count = 0
-        self.lsq_count = 0
-        self.free_int_regs = config.rf_size - ARCH_REGS
-        self.free_fp_regs = config.rf_size - ARCH_REGS
-        self.branches_unresolved = 0
-        self.rob_spec = 0
-        self.iq_spec = 0
-        self.lsq_spec = 0
+    # Per-index instruction state (reset on (re)dispatch).
+    gen = [0] * n
+    in_flight = [False] * n
+    issued = [False] * n
+    completed = [False] * n
+    speculative = [False] * n
+    waiting = [0] * n
+    wb_cycle = [0] * n
 
-        # Front end.
-        self.fetch_ptr = 0
-        self.fetch_stall_until = 0
-        self.last_iblock = -1
-        self.squash_owner: int | None = None
-        self.bp = GshareBTB(config.gshare_size, config.btb_size)
-        self.hier = CacheHierarchy(params)
+    # Machinery.
+    rob: deque[int] = deque()
+    ready: list[int] = []  # heap of dispatched indices, oldest first
+    events: list[tuple[int, int, int]] = []  # (cycle, index, gen) heap
+    dependents: dict[int, list[tuple[int, int]]] = {}
+    stores: list[int] = []  # heap of stores not yet known issued
+    wb_counts: tuple[dict[int, int], ...] = ({}, {}, {})  # by file, cycle
 
-        # Per-cycle observation (read by collectors).
-        self.cycle = 0
-        self.issued_by_class = [0] * len(OpClass.NAMES)
-        self.mem_ports_used = 0
-        self.rd_ports_int_used = 0
-        self.rd_ports_fp_used = 0
-        self.wb_int_this_cycle = 0
-        self.wb_fp_this_cycle = 0
+    # Configuration and latencies.
+    width = config.width
+    rob_size, iq_size = config.rob_size, config.iq_size
+    lsq_size = config.lsq_size
+    max_branches = config.branches
+    rd_ports, wr_ports = config.rf_rd_ports, config.rf_wr_ports
+    int_alus, fp_units = params.int_alus, params.fp_units
+    mem_ports = params.mem_ports
+    op_latency = params.op_latency
+    ilat, dlat = params.icache_latency, params.dcache_latency
+    l2lat, memlat = params.l2_latency, params.memory_latency
+    penalty = params.mispredict_penalty
+    regs = config.rf_size - ARCH_REGS
+    max_pops = 4 * width + 4
+    limit = 1000 + max_cycles_per_instruction * n
+    l1i, l1d, l2 = hier.l1i.access, hier.l1d.access, hier.l2.access
+    pht, pht_mask, history = bp.pht, bp.pht_mask, bp.history
+    btb_tag, btb_mask = bp.btb_tag, bp.btb_mask
+    heappush, heappop = heapq.heappush, heapq.heappop
+    LOAD, STORE, BRANCH = OpClass.LOAD, OpClass.STORE, OpClass.BRANCH
 
-        # Statistics.
-        self.committed_count = 0
-        self.dispatched_count = 0
-        self.wrong_path_dispatched = 0
-        self.branches_seen = 0
-        self.mispredict_count = 0
-        self.squashed_count = 0
-        self.activity: dict[str, int] = {
-            key: 0
-            for key in (
-                "icache_access", "icache_miss", "dcache_access", "dcache_miss",
-                "l2_access", "l2_miss", "gshare_access", "btb_access",
-                "rob_write", "rob_read", "iq_write", "iq_wakeup", "iq_select",
-                "lsq_write", "lsq_search", "rf_read_int", "rf_read_fp",
-                "rf_write_int", "rf_write_fp", "ialu_op", "imul_op",
-                "falu_op", "fmul_op",
+    # Resources and front end.
+    iq_count = lsq_count = 0
+    free_int = free_fp = regs
+    branches_unresolved = rob_spec = iq_spec = lsq_spec = 0
+    fetch_ptr = fetch_stall_until = 0
+    last_iblock = -1
+    squash_owner = -1  # index of the unresolved mispredicted branch
+
+    # Statistics.
+    cycle = committed = 0
+    dispatched = dispatched_mem = wrong_path_dispatched = 0
+    branch_fetches = branches_seen = mispredicts = 0
+    squashed = squashed_mem = iq_wakeup = 0
+    rf_read_int = rf_read_fp = rf_write_int = rf_write_fp = 0
+    op_issues = [0] * len(OpClass.NAMES)
+    observe = collector is not None
+    samples: list[int] = []
+    record = samples.extend
+
+    while committed < n:
+        cycle += 1
+        if cycle > limit:
+            raise SimulationError(
+                f"no forward progress after {cycle} cycles "
+                f"({committed}/{n} committed)"
             )
-        }
 
-    # -- derived observations (collector surface) ---------------------------
-
-    @property
-    def rob_count(self) -> int:
-        return len(self.rob)
-
-    @property
-    def int_regs_used(self) -> int:
-        return self.params.config.rf_size - ARCH_REGS - self.free_int_regs
-
-    @property
-    def fp_regs_used(self) -> int:
-        return self.params.config.rf_size - ARCH_REGS - self.free_fp_regs
-
-    # -- warm-up ---------------------------------------------------------------
-
-    def warm_state(self, warm_trace: Trace | None = None) -> None:
-        """Functional pass training caches, gshare and BTB (no timing)."""
-        hier = self.hier
-        bp = self.bp
-        last_block = -1
-        for i in range(self.n):
-            op = self.ops[i]
-            block = self.pc[i] // CACHE_BLOCK_BYTES
-            if block != last_block:
-                hier.access_inst(self.pc[i])
-                last_block = block
-            if op == OpClass.LOAD or op == OpClass.STORE:
-                hier.access_data(self.addr[i])
-            elif warm_trace is None and op == OpClass.BRANCH:
-                bp.update(self.pc[i], self.taken[i])
-        if warm_trace is not None:
-            branch = warm_trace.is_branch
-            for pc, taken in zip(warm_trace.pc[branch].tolist(),
-                                 warm_trace.taken[branch].tolist()):
-                bp.update(pc, taken)
-        hier.l1i.reset_stats()
-        hier.l1d.reset_stats()
-        hier.l2.reset_stats()
-        bp.lookups = 0
-        bp.updates = 0
-
-    # -- main loop -----------------------------------------------------------
-
-    def execute(self, max_cycles_per_instruction: int) -> SimResult:
-        if self.collector is not None:
-            self.collector.begin(self)
-        limit = 1000 + max_cycles_per_instruction * self.n
-        while self.committed_count < self.n:
-            self.cycle += 1
-            if self.cycle > limit:
-                raise SimulationError(
-                    f"no forward progress after {self.cycle} cycles "
-                    f"({self.committed_count}/{self.n} committed)"
-                )
-            self.issued_by_class = [0] * len(OpClass.NAMES)
-            self.mem_ports_used = 0
-            self.rd_ports_int_used = 0
-            self.rd_ports_fp_used = 0
-            self.wb_int_this_cycle = 0
-            self.wb_fp_this_cycle = 0
-
-            self._process_completions()
-            self._commit()
-            self._issue()
-            self._fetch_dispatch()
-            if self.collector is not None:
-                self.collector.on_cycle(self)
-
-        return SimResult(
-            instructions=self.n,
-            cycles=self.cycle,
-            frequency_ghz=self.params.frequency_ghz,
-            activity=dict(self.activity),
-            branches=self.branches_seen,
-            mispredicts=self.mispredict_count,
-            squashed=self.squashed_count,
-            wrong_path_dispatched=self.wrong_path_dispatched,
-        )
-
-    # -- pipeline stages ------------------------------------------------------
-
-    def _process_completions(self) -> None:
-        events = self.events
-        cycle = self.cycle
+        # -- completions: write back, wake dependents (bypass: they may
+        # issue this cycle), and squash behind a mispredicted branch.
+        wb_used = 0
         while events and events[0][0] <= cycle:
-            _, i, gen = heapq.heappop(events)
-            if self.gen[i] != gen or not self.in_flight[i]:
+            _, i, g = heappop(events)
+            if gen[i] != g or not in_flight[i]:
                 continue  # squashed instance
-            self.completed[i] = True
-            self.complete_cycle[i] = cycle
-            op = self.ops[i]
-            dest = _DEST_FILE[op]
-            if dest == _DEST_INT:
-                self.activity["rf_write_int"] += 1
-                self.wb_int_this_cycle += 1
-            elif dest == _DEST_FP:
-                self.activity["rf_write_fp"] += 1
-                self.wb_fp_this_cycle += 1
-            if op == OpClass.BRANCH:
-                self.branches_unresolved -= 1
-            # Wake dependents (bypass: dependents may issue this cycle).
-            waiters = self.dependents.pop(i, None)
+            completed[i] = True
+            d = dest_of[i]
+            if d == _DEST_INT:
+                rf_write_int += 1
+                wb_used += 1
+            elif d == _DEST_FP:
+                rf_write_fp += 1
+                wb_used += 1
+            if ops[i] == BRANCH:
+                branches_unresolved -= 1
+            waiters = dependents.pop(i, None)
             if waiters:
-                self.activity["iq_wakeup"] += 1
-                for j, jgen in waiters:
-                    if self.gen[j] != jgen or not self.in_flight[j]:
+                iq_wakeup += 1
+                for j, jg in waiters:
+                    if gen[j] != jg or not in_flight[j]:
                         continue
-                    self.waiting[j] -= 1
-                    if self.waiting[j] == 0 and not self.issued[j]:
-                        self.ready_at[j] = cycle
-                        heapq.heappush(self.ready_heap, j)
-            if self.squash_owner == i:
-                self._squash_after(i)
+                    waiting[j] -= 1
+                    if waiting[j] == 0:
+                        heappush(ready, j)
+            if i == squash_owner:
+                # Flush every younger instruction and redirect fetch.
+                while rob and rob[-1] > i:
+                    k = rob.pop()
+                    in_flight[k] = False
+                    gen[k] += 1  # invalidate pending events and wake-ups
+                    d = dest_of[k]
+                    if not issued[k]:
+                        iq_count -= 1
+                        if speculative[k]:
+                            iq_spec -= 1
+                    elif not completed[k] and d != _DEST_NONE:
+                        counts = wb_counts[d]
+                        count = counts.get(wb_cycle[k], 0)
+                        if count > 1:
+                            counts[wb_cycle[k]] = count - 1
+                        else:
+                            counts.pop(wb_cycle[k], None)
+                    if ops[k] == BRANCH and not completed[k]:
+                        branches_unresolved -= 1
+                    if d == _DEST_INT:
+                        free_int += 1
+                    elif d == _DEST_FP:
+                        free_fp += 1
+                    if is_mem[k]:
+                        lsq_count -= 1
+                        squashed_mem += 1
+                        if speculative[k]:
+                            lsq_spec -= 1
+                    if speculative[k]:
+                        rob_spec -= 1
+                    squashed += 1
+                squash_owner = -1
+                fetch_ptr = i + 1
+                fetch_stall_until = cycle + penalty
+                last_iblock = -1
 
-    def _commit(self) -> None:
-        width = self.params.config.width
-        rob = self.rob
-        committed = 0
-        while rob and committed < width:
+        # -- commit: retire completed instructions in order.
+        retired = 0
+        while rob and retired < width:
             i = rob[0]
-            if not self.completed[i] or self.complete_cycle[i] > self.cycle:
+            if not completed[i]:
                 break
             rob.popleft()
-            committed += 1
-            self.committed[i] = True
-            self.in_flight[i] = False
-            self.committed_count += 1
-            self.activity["rob_read"] += 1
-            self._release(i)
-            if self.collector is not None:
-                self.collector.on_commit(self, i)
+            retired += 1
+            in_flight[i] = False
+            d = dest_of[i]
+            if d == _DEST_INT:
+                free_int += 1
+            elif d == _DEST_FP:
+                free_fp += 1
+            if is_mem[i]:
+                lsq_count -= 1
+                if speculative[i]:
+                    lsq_spec -= 1
+            if speculative[i]:
+                rob_spec -= 1
+        committed += retired
 
-    def _release(self, i: int) -> None:
-        """Free the resources held by a committing or squashed instruction."""
-        op = self.ops[i]
-        dest = _DEST_FILE[op]
-        if dest == _DEST_INT:
-            self.free_int_regs += 1
-        elif dest == _DEST_FP:
-            self.free_fp_regs += 1
-        if op == OpClass.LOAD or op == OpClass.STORE:
-            self.lsq_count -= 1
-            if self.speculative[i]:
-                self.lsq_spec -= 1
-        if self.speculative[i]:
-            self.rob_spec -= 1
-            if not self.issued[i]:
-                self.iq_spec -= 1
-
-    def _issue(self) -> None:
-        params = self.params
-        width = params.config.width
-        heap = self.ready_heap
-        cycle = self.cycle
-        pools = {
-            "ialu": params.int_alus,
-            "fp": params.fp_units,
-            "mem": params.mem_ports,
-        }
-        rd_int = params.config.rf_rd_ports
-        rd_fp = params.config.rf_rd_ports
-        deferred: list[int] = []
-        issued = 0
-        pops = 0
-        max_pops = 4 * width + 4
-        while heap and issued < width and pops < max_pops:
-            i = heapq.heappop(heap)
-            pops += 1
-            if not self.in_flight[i] or self.issued[i] or self.waiting[i]:
-                continue
-            if self.ready_at[i] > cycle:
-                deferred.append(i)
-                continue
-            op = self.ops[i]
-            srcs = (1 if self.src1[i] else 0) + (1 if self.src2[i] else 0)
-            is_fp = op in _FP_OPS
-            # Structural hazards.
-            if is_fp:
-                if pools["fp"] == 0 or rd_fp < srcs:
-                    deferred.append(i)
+        # -- issue: oldest ready first, within the functional units, the
+        # read ports and a pop budget that stale heap entries also spend.
+        # Every entry is ready by now: wake-ups happen earlier in the
+        # cycle, and dispatch later.
+        ialu_free, fp_free, mem_free = int_alus, fp_units, mem_ports
+        rd_int = rd_fp = rd_ports
+        if ready:
+            deferred = None
+            issued_now = pops = 0
+            while ready and issued_now < width and pops < max_pops:
+                i = heappop(ready)
+                pops += 1
+                if not in_flight[i] or issued[i] or waiting[i]:
                     continue
-            elif op == OpClass.LOAD or op == OpClass.STORE:
-                if pools["mem"] == 0 or rd_int < max(1, srcs):
-                    deferred.append(i)
+                latency = 0  # stays 0 while a hazard holds the instruction
+                pool = pool_of[i]
+                ports = ports_of[i]
+                if pool == _POOL_IALU:
+                    if ialu_free and rd_int >= ports:
+                        ialu_free -= 1
+                        rd_int -= ports
+                        rf_read_int += ports
+                        latency = op_latency[ops[i]]
+                elif pool == _POOL_FP:
+                    if fp_free and rd_fp >= ports:
+                        fp_free -= 1
+                        rd_fp -= ports
+                        rf_read_fp += ports
+                        latency = op_latency[ops[i]]
+                elif mem_free and rd_int >= ports:
+                    # A load waits until every older store has issued
+                    # (address known).
+                    load = ops[i] == LOAD
+                    if load:
+                        while stores and (issued[stores[0]]
+                                          or not in_flight[stores[0]]):
+                            heappop(stores)
+                    if not load or not stores or stores[0] > i:
+                        mem_free -= 1
+                        rd_int -= ports
+                        rf_read_int += ports
+                        address = addr[i]
+                        if l1d(address):
+                            latency = dlat
+                        elif l2(address):
+                            latency = dlat + l2lat
+                        else:
+                            latency = dlat + l2lat + memlat
+                        if not load:
+                            latency = 1  # retires via the write buffer
+                if not latency:
+                    if deferred is None:
+                        deferred = [i]
+                    else:
+                        deferred.append(i)
                     continue
-                if op == OpClass.LOAD and not self._older_stores_issued(i):
-                    deferred.append(i)
-                    continue
-            else:
-                if pools["ialu"] == 0 or rd_int < srcs:
-                    deferred.append(i)
-                    continue
-            # Issue.
-            if is_fp:
-                pools["fp"] -= 1
-                rd_fp -= srcs
-                self.rd_ports_fp_used += srcs
-            elif op == OpClass.LOAD or op == OpClass.STORE:
-                pools["mem"] -= 1
-                ports = max(1, srcs)
-                rd_int -= ports
-                self.rd_ports_int_used += ports
-                self.mem_ports_used += 1
-            else:
-                pools["ialu"] -= 1
-                rd_int -= srcs
-                self.rd_ports_int_used += srcs
-            self._do_issue(i, op, srcs)
-            issued += 1
-        for i in deferred:
-            heapq.heappush(heap, i)
+                issued[i] = True
+                issued_now += 1
+                op_issues[ops[i]] += 1
+                iq_count -= 1
+                if speculative[i]:
+                    iq_spec -= 1
+                complete = cycle + latency
+                d = dest_of[i]
+                if d != _DEST_NONE:
+                    counts = wb_counts[d]
+                    while counts.get(complete, 0) >= wr_ports:
+                        complete += 1
+                    counts[complete] = counts.get(complete, 0) + 1
+                    wb_cycle[i] = complete
+                heappush(events, (complete, i, gen[i]))
+            if deferred is not None:
+                for i in deferred:
+                    heappush(ready, i)
 
-    def _older_stores_issued(self, load_idx: int) -> bool:
-        """Loads wait until every older store has issued (address known)."""
-        stores = self.unissued_stores
-        while stores:
-            s = stores[0]
-            if self.issued[s] or not self.in_flight[s]:
-                heapq.heappop(stores)
-                continue
-            return s > load_idx
-        return True
-
-    def _do_issue(self, i: int, op: int, srcs: int) -> None:
-        params = self.params
-        cycle = self.cycle
-        self.issued[i] = True
-        if self.speculative[i]:
-            self.iq_spec -= 1
-        self.iq_count -= 1
-        self.activity["iq_select"] += 1
-        self.activity["rf_read_fp" if op in _FP_OPS else "rf_read_int"] += max(
-            srcs, 1 if op in (OpClass.LOAD, OpClass.STORE) else srcs
-        )
-        if op == OpClass.LOAD:
-            self.activity["dcache_access"] += 1
-            self.activity["lsq_search"] += 1
-            result = self.hier.access_data(self.addr[i])
-            if not result.l1_hit:
-                self.activity["dcache_miss"] += 1
-                self.activity["l2_access"] += 1
-                if not result.l2_hit:
-                    self.activity["l2_miss"] += 1
-            latency = result.latency
-        elif op == OpClass.STORE:
-            self.activity["dcache_access"] += 1
-            result = self.hier.access_data(self.addr[i])
-            if not result.l1_hit:
-                self.activity["dcache_miss"] += 1
-                self.activity["l2_access"] += 1
-                if not result.l2_hit:
-                    self.activity["l2_miss"] += 1
-            latency = 1  # retires through the write buffer
-        else:
-            latency = params.op_latency[op]
-            self.activity[
-                ("ialu" if op == OpClass.BRANCH else OpClass.name(op)) + "_op"
-            ] += 1
-        dest = _DEST_FILE[op]
-        complete = cycle + latency
-        if dest != _DEST_NONE:
-            wr_ports = params.config.rf_wr_ports
-            while self.wb_counts.get((complete, dest), 0) >= wr_ports:
-                complete += 1
-            self.wb_counts[(complete, dest)] = (
-                self.wb_counts.get((complete, dest), 0) + 1
-            )
-            self.wb_cycle[i] = complete
-        heapq.heappush(self.events, (complete, i, self.gen[i]))
-        if self.collector is not None:
-            self.collector.on_issue(self, i)
-        self.issued_by_class[op] += 1
-
-    # -- fetch / dispatch ------------------------------------------------------
-
-    def _fetch_dispatch(self) -> None:
-        params = self.params
-        config = params.config
-        cycle = self.cycle
-        if cycle < self.fetch_stall_until:
-            return
-        width = config.width
-        rob_capacity = config.rob_size
-        iq_capacity = config.iq_size
-        lsq_capacity = config.lsq_size
-        fetched = 0
-        while fetched < width and self.fetch_ptr < self.n:
-            i = self.fetch_ptr
-            op = self.ops[i]
-            # Back-pressure checks.
-            if len(self.rob) >= rob_capacity or self.iq_count >= iq_capacity:
-                break
-            if (op == OpClass.LOAD or op == OpClass.STORE) and (
-                self.lsq_count >= lsq_capacity
-            ):
-                break
-            dest = _DEST_FILE[op]
-            if dest == _DEST_INT and self.free_int_regs == 0:
-                break
-            if dest == _DEST_FP and self.free_fp_regs == 0:
-                break
-            if op == OpClass.BRANCH and (
-                self.branches_unresolved >= config.branches
-            ):
-                break
-            # Instruction cache.
-            block = self.pc[i] // CACHE_BLOCK_BYTES
-            if block != self.last_iblock:
-                self.activity["icache_access"] += 1
-                result = self.hier.access_inst(self.pc[i])
-                self.last_iblock = block
-                if not result.l1_hit:
-                    self.activity["icache_miss"] += 1
-                    self.activity["l2_access"] += 1
-                    if not result.l2_hit:
-                        self.activity["l2_miss"] += 1
-                    self.fetch_stall_until = cycle + result.latency
+        # -- fetch and dispatch, in order, until a structure is full, an
+        # I-cache miss stalls fetch or a taken branch redirects it.
+        if cycle >= fetch_stall_until:
+            fetched = 0
+            while fetched < width and fetch_ptr < n:
+                i = fetch_ptr
+                if len(rob) >= rob_size or iq_count >= iq_size:
                     break
-            stop_after = False
-            if op == OpClass.BRANCH:
-                stop_after = self._fetch_branch(i)
-            self._dispatch(i, op, dest)
-            fetched += 1
-            self.fetch_ptr += 1
-            if stop_after:
-                break
+                mem = is_mem[i]
+                if mem and lsq_count >= lsq_size:
+                    break
+                d = dest_of[i]
+                if d == _DEST_INT and free_int == 0:
+                    break
+                if d == _DEST_FP and free_fp == 0:
+                    break
+                branch = ops[i] == BRANCH
+                if branch and branches_unresolved >= max_branches:
+                    break
+                block = iblock[i]
+                if block != last_iblock:
+                    last_iblock = block
+                    if not l1i(pcs[i]):
+                        fetch_stall_until = cycle + ilat + l2lat + (
+                            0 if l2(pcs[i]) else memlat)
+                        break
+                redirect = False
+                if branch:
+                    pc = pcs[i]
+                    branch_fetches += 1
+                    slot = ((pc >> 2) ^ history) & pht_mask
+                    counter = pht[slot]
+                    predicted = counter >= 2
+                    target_hit = btb_tag[(pc >> 2) & btb_mask] == pc
+                    if squash_owner >= 0:
+                        # A wrong-path branch predicts but never trains.
+                        redirect = predicted and target_hit
+                    else:
+                        branches_seen += 1
+                        actual = taken[i]
+                        if actual:
+                            if counter < 3:
+                                pht[slot] = counter + 1
+                            btb_tag[(pc >> 2) & btb_mask] = pc
+                            history = ((history << 1) | 1) & pht_mask
+                        else:
+                            if counter > 0:
+                                pht[slot] = counter - 1
+                            history = (history << 1) & pht_mask
+                        if predicted != actual or (actual and not target_hit):
+                            mispredicts += 1
+                            squash_owner = i
+                            redirect = predicted and target_hit
+                        else:
+                            redirect = actual
 
-    def _fetch_branch(self, i: int) -> bool:
-        """Handle prediction for branch ``i``; returns True if the fetch
-        group must stop (predicted-taken redirect)."""
-        wrong_path = self.squash_owner is not None
-        pc = self.pc[i]
-        actual = self.taken[i]
-        self.activity["gshare_access"] += 1
-        self.activity["btb_access"] += 1
-        predicted, btb_hit = self.bp.predict(pc)
-        if wrong_path:
-            # Wrong-path branches neither train nor redirect.
-            return bool(predicted and btb_hit)
-        self.branches_seen += 1
-        mispredict = self.bp.is_mispredict(predicted, btb_hit, actual)
-        self.bp.update(pc, actual)
-        if mispredict:
-            self.mispredict_count += 1
-            self.mispredicted[i] = True
-            self.squash_owner = i
-        return bool(actual if not mispredict else (predicted and btb_hit))
+                # Dispatch (``speculative`` is read before this branch
+                # counts as unresolved).
+                spec = branches_unresolved > 0
+                g = gen[i] + 1
+                gen[i] = g
+                in_flight[i] = True
+                issued[i] = False
+                completed[i] = False
+                speculative[i] = spec
+                rob.append(i)
+                iq_count += 1
+                dispatched += 1
+                if squash_owner >= 0 and i != squash_owner:
+                    wrong_path_dispatched += 1
+                if spec:
+                    rob_spec += 1
+                    iq_spec += 1
+                if d == _DEST_INT:
+                    free_int -= 1
+                elif d == _DEST_FP:
+                    free_fp -= 1
+                if mem:
+                    lsq_count += 1
+                    dispatched_mem += 1
+                    if spec:
+                        lsq_spec += 1
+                    if ops[i] == STORE:
+                        heappush(stores, i)
+                elif branch:
+                    branches_unresolved += 1
+                wait = 0
+                for dist in (src1[i], src2[i]):
+                    # A source squashed and not yet refetched counts as
+                    # ready (its value architecturally exists).
+                    src = i - dist
+                    if dist and src >= 0 and in_flight[src] \
+                            and not completed[src]:
+                        waiters = dependents.get(src)
+                        if waiters is None:
+                            dependents[src] = [(i, g)]
+                        else:
+                            waiters.append((i, g))
+                        wait += 1
+                waiting[i] = wait
+                if wait == 0:
+                    heappush(ready, i)
+                fetched += 1
+                fetch_ptr += 1
+                if redirect:
+                    break
 
-    def _dispatch(self, i: int, op: int, dest: int) -> None:
-        wrong_path = self.squash_owner is not None and i != self.squash_owner
-        speculative = self.branches_unresolved > 0
-        self.gen[i] += 1
-        gen = self.gen[i]
-        self.in_flight[i] = True
-        self.issued[i] = False
-        self.completed[i] = False
-        self.wrong_path[i] = wrong_path
-        self.speculative[i] = speculative
-        self.mispredicted[i] = self.mispredicted[i] and not wrong_path
+        # -- observe.
+        if observe:
+            record((ialu_free + fp_free, mem_free, len(rob), iq_count,
+                    lsq_count, free_int, free_fp, rd_int + rd_fp, wb_used,
+                    rob_spec, iq_spec, lsq_spec))
 
-        self.rob.append(i)
-        self.iq_count += 1
-        self.activity["rob_write"] += 1
-        self.activity["iq_write"] += 1
-        self.dispatched_count += 1
-        if wrong_path:
-            self.wrong_path_dispatched += 1
-        if speculative:
-            self.rob_spec += 1
-            self.iq_spec += 1
-
-        if dest == _DEST_INT:
-            self.free_int_regs -= 1
-        elif dest == _DEST_FP:
-            self.free_fp_regs -= 1
-        if op == OpClass.LOAD or op == OpClass.STORE:
-            self.lsq_count += 1
-            self.activity["lsq_write"] += 1
-            if speculative:
-                self.lsq_spec += 1
-            if op == OpClass.STORE:
-                heapq.heappush(self.unissued_stores, i)
-        if op == OpClass.BRANCH:
-            self.branches_unresolved += 1
-
-        waiting = 0
-        for dist in (self.src1[i], self.src2[i]):
-            if not dist:
-                continue
-            src = i - dist
-            if src < 0 or self.committed[src]:
-                continue
-            if self.in_flight[src] and self.completed[src]:
-                continue
-            if not self.in_flight[src]:
-                # Source belongs to a squashed, not-yet-refetched range;
-                # treat as ready (its value architecturally exists).
-                continue
-            self.dependents.setdefault(src, []).append((i, gen))
-            waiting += 1
-        self.waiting[i] = waiting
-        if waiting == 0:
-            self.ready_at[i] = self.cycle + 1
-            heapq.heappush(self.ready_heap, i)
-        if self.collector is not None:
-            self.collector.on_dispatch(self, i, speculative, wrong_path)
-
-    # -- squash -----------------------------------------------------------------
-
-    def _squash_after(self, branch_idx: int) -> None:
-        """Flush every instruction younger than ``branch_idx`` and redirect."""
-        rob = self.rob
-        while rob and rob[-1] > branch_idx:
-            i = rob.pop()
-            self.in_flight[i] = False
-            self.gen[i] += 1  # invalidate pending events/wakeups
-            op = self.ops[i]
-            if not self.issued[i]:
-                self.iq_count -= 1
-            elif not self.completed[i] and _DEST_FILE[op] != _DEST_NONE:
-                key = (self.wb_cycle[i], _DEST_FILE[op])
-                count = self.wb_counts.get(key, 0)
-                if count > 1:
-                    self.wb_counts[key] = count - 1
-                else:
-                    self.wb_counts.pop(key, None)
-            if op == OpClass.BRANCH and not self.completed[i]:
-                self.branches_unresolved -= 1
-            self._release(i)
-            self.squashed_count += 1
-            if self.collector is not None:
-                self.collector.on_squash(self, i)
-        self.squash_owner = None
-        self.fetch_ptr = branch_idx + 1
-        self.fetch_stall_until = self.cycle + self.params.mispredict_penalty
-        self.last_iblock = -1
+    result = SimResult(
+        instructions=n,
+        cycles=cycle,
+        frequency_ghz=params.frequency_ghz,
+        activity={
+            "icache_access": hier.l1i.accesses,
+            "icache_miss": hier.l1i.misses,
+            "dcache_access": hier.l1d.accesses,
+            "dcache_miss": hier.l1d.misses,
+            "l2_access": hier.l2.accesses,
+            "l2_miss": hier.l2.misses,
+            "gshare_access": branch_fetches,
+            "btb_access": branch_fetches,
+            "rob_write": dispatched,
+            "rob_read": committed,
+            "iq_write": dispatched,
+            "iq_wakeup": iq_wakeup,
+            "iq_select": sum(op_issues),
+            "lsq_write": dispatched_mem,
+            "lsq_search": op_issues[LOAD],
+            "rf_read_int": rf_read_int,
+            "rf_read_fp": rf_read_fp,
+            "rf_write_int": rf_write_int,
+            "rf_write_fp": rf_write_fp,
+            "ialu_op": op_issues[OpClass.IALU] + op_issues[BRANCH],
+            "imul_op": op_issues[OpClass.IMUL],
+            "falu_op": op_issues[OpClass.FALU],
+            "fmul_op": op_issues[OpClass.FMUL],
+        },
+        branches=branches_seen,
+        mispredicts=mispredicts,
+        squashed=squashed,
+        wrong_path_dispatched=wrong_path_dispatched,
+    )
+    if observe:
+        table = np.fromiter(samples, np.int64, len(samples)).reshape(
+            -1, len(SAMPLE_COLUMNS))
+        columns = dict(zip(SAMPLE_COLUMNS, table.T))
+        # Units, registers and read ports were sampled free: count them used.
+        for name, capacity in (("alu", int_alus + fp_units),
+                               ("memport", mem_ports), ("intreg", regs),
+                               ("fpreg", regs), ("rdport", 2 * rd_ports)):
+            columns[name] = capacity - columns[name]
+        collector.finish(
+            columns,
+            {"dispatched": dispatched, "dispatched_mem": dispatched_mem,
+             "squashed": squashed, "squashed_mem": squashed_mem},
+        )
+    return result

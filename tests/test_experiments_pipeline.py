@@ -110,6 +110,52 @@ class TestPipeline:
         assert isinstance(predictor.predict(features), MicroarchConfig)
 
 
+class TestTrainingKeys:
+    """The trained products' store keys cover the training inputs that
+    ``ReproScale.tag`` (which seeds the pool and the sweeps) leaves out."""
+
+    @pytest.fixture
+    def tiny_scale(self):
+        return ReproScale.quick().with_(
+            benchmarks=("mcf", "swim", "gcc"), n_phases=1,
+            phase_trace_length=1000, pool_size=8, neighbour_count=4,
+            max_iterations=5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("threshold", 0.07), ("regularization", 0.9), ("max_iterations", 6)])
+    def test_training_field_changes_training_keys_only(
+            self, tiny_scale, tmp_path, field, value):
+        from repro.experiments import DataStore, ExperimentPipeline
+        store = DataStore(tmp_path)
+        base = ExperimentPipeline(tiny_scale, store=store, workers=1)
+        other = ExperimentPipeline(tiny_scale.with_(**{field: value}),
+                                   store=store, workers=1)
+        assert other.scale.tag == base.scale.tag
+        for feature_set in ("advanced", "basic"):
+            for mode in ("ones", "warm"):
+                assert other._prediction_key(feature_set, mode) != \
+                    base._prediction_key(feature_set, mode)
+            assert other._full_predictor_key(feature_set) != \
+                base._full_predictor_key(feature_set)
+        for program in tiny_scale.benchmarks:
+            assert other._phase_cache_key(program, 0) == \
+                base._phase_cache_key(program, 0)
+
+    def test_new_max_iterations_misses_the_store(self, tiny_scale, tmp_path):
+        from repro.experiments import DataStore, ExperimentPipeline
+        store = DataStore(tmp_path)
+        first = ExperimentPipeline(tiny_scale, store=store, workers=1,
+                                   train_workers=1)
+        first.predictions("basic")
+        longer = ExperimentPipeline(tiny_scale.with_(max_iterations=6),
+                                    store=store, workers=1, train_workers=1)
+        key = longer._prediction_key("basic", "ones")
+        assert not store.contains(key)
+        longer.predictions("basic")
+        assert store.contains(key)
+        assert store.contains(first._prediction_key("basic", "ones"))
+
+
 class TestPrefetch:
     """Process fan-out: workers write through the store, parent re-reads."""
 

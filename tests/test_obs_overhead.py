@@ -3,8 +3,9 @@
 Two contracts:
 
 * with ``REPRO_OBS`` unset, the instrumented hot loops (batch evaluation
-  of 1k configurations, one ``characterize()`` call) stay within noise
-  of an uninstrumented baseline — checked by comparing the disabled-path
+  of 1k configurations, one ``characterize()`` call, one
+  ``collect_counters()`` call) stay within noise of an uninstrumented
+  baseline — checked by comparing the disabled-path
   span/metric machinery cost against the work it wraps;
 * with ``REPRO_OBS`` on, results are **bit-identical**: observability is
   purely observational and never perturbs a number.
@@ -19,6 +20,7 @@ import pytest
 
 from repro import obs
 from repro.config.space import DesignSpace
+from repro.counters.collector import collect_counters
 from repro.timing.batch import BatchIntervalEvaluator
 from repro.timing.characterize import characterize
 from repro.workloads.generator import PhaseSpec, TraceGenerator
@@ -29,6 +31,8 @@ POOL_SIZE = 1000
 #: The spans inside one ``characterize()`` call.
 CHARACTERIZE_SPANS = ("characterize.ilp", "characterize.caches",
                       "characterize.branches")
+#: The spans inside one ``collect_counters()`` call.
+COUNTERS_SPANS = ("counters.simulate", "counters.distances")
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +131,48 @@ def test_characterize_bit_identical_with_obs_enabled(char_inputs, tmp_path):
     assert repr(observed) == repr(baseline)
     names = {r.get("name") for r in obs.merge_records(tmp_path)}
     assert set(CHARACTERIZE_SPANS) <= names
+
+
+def test_collect_counters_hooks_cost_less_than_the_work(char_inputs,
+                                                       monkeypatch):
+    """The two disabled spans inside ``collect_counters()`` cost < 5% of
+    one call (best-of-N both sides, as above)."""
+    monkeypatch.delenv("REPRO_OBS", raising=False)
+    obs.reset_from_env()
+    trace, warm = char_inputs
+    work_seconds = min(
+        _timed(lambda: collect_counters(trace, warm_trace=warm))
+        for _ in range(3))
+
+    def hooks() -> None:
+        for name in COUNTERS_SPANS:
+            with obs.span(name):
+                pass
+
+    hooks()
+    hook_seconds = min(_timed(hooks) for _ in range(5))
+
+    assert hook_seconds < 0.05 * work_seconds, (
+        f"disabled obs hooks cost {hook_seconds * 1e6:.1f}µs per "
+        f"collect_counters() vs {work_seconds * 1e3:.2f}ms of work")
+
+
+def test_collect_counters_identical_with_obs_enabled(char_inputs, tmp_path):
+    trace, warm = char_inputs
+    obs.reset_from_env()
+    assert not obs.enabled()
+    baseline = collect_counters(trace, warm_trace=warm)
+
+    obs.configure(enabled=True, directory=str(tmp_path))
+    try:
+        observed = collect_counters(trace, warm_trace=warm)
+        obs.flush()
+    finally:
+        obs.reset_from_env()
+
+    assert repr(observed) == repr(baseline)
+    names = {r.get("name") for r in obs.merge_records(tmp_path)}
+    assert set(COUNTERS_SPANS) <= names
 
 
 def _timed(fn) -> float:

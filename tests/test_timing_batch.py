@@ -61,16 +61,16 @@ def batch():
 
 class TestEquivalence:
     def test_matches_scalar_evaluator(self, char, configs, scalar, batch):
-        """Property: every field of every result agrees to 1e-9 rtol."""
+        """Property: every result equals the scalar evaluator's exactly."""
         expected = [scalar.evaluate(char, config) for config in configs]
         actual = batch.evaluate_many(char, configs)
         assert len(actual) == len(expected)
         for config, a, b in zip(configs, expected, actual):
             for field in ("cycles", "time_ns", "energy_pj", "efficiency"):
-                va, vb = getattr(a, field), getattr(b, field)
-                assert va == pytest.approx(vb, rel=RTOL), (
+                assert getattr(a, field) == getattr(b, field), (
                     f"{field} diverges on {config.describe()}"
                 )
+            assert a == b
 
     def test_batch_result_arrays_consistent(self, char, configs, batch):
         result = batch.evaluate_batch(char, configs)
