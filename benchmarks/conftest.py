@@ -56,9 +56,9 @@ def loo_average_ratio(
     """Leave-one-program-out CV with explicit knobs; returns the suite's
     geometric-mean efficiency ratio vs the pipeline baseline."""
     from repro.experiments.baselines import geomean
-    from repro.model.crossval import leave_one_program_out
+    from repro.model.fastcv import fast_leave_one_program_out
 
-    predictions = leave_one_program_out(
+    predictions = fast_leave_one_program_out(
         pipe.phase_records(feature_set),
         threshold=threshold,
         regularization=regularization,

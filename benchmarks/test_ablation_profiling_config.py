@@ -13,7 +13,7 @@ from repro.config import KIB, MicroarchConfig
 from repro.counters import collect_counters
 from repro.experiments.baselines import geomean
 from repro.experiments.pipeline import FEATURE_EXTRACTORS
-from repro.model.crossval import PhaseRecord, leave_one_program_out
+from repro.model import PhaseRecord, fast_leave_one_program_out
 
 SMALL_PROFILING = MicroarchConfig(
     width=2, rob_size=32, iq_size=8, lsq_size=8, rf_size=40, rf_rd_ports=2,
@@ -44,7 +44,7 @@ def test_ablation_profiling_config(ablation_pipeline, benchmark):
                     evaluations={c: r.efficiency
                                  for c, r in data.evaluations.items()},
                 ))
-            predictions = leave_one_program_out(
+            predictions = fast_leave_one_program_out(
                 records, max_iterations=pipe.scale.max_iterations)
             return geomean(list(pipe.suite_ratios(predictions).values()))
 

@@ -6,7 +6,7 @@ trajectory is tracked from PR to PR:
 1. **scalar** — the seed's per-config ``IntervalEvaluator`` loop over a
    random pool (the V-C stage-1 shape);
 2. **batch** — the same pool through ``BatchIntervalEvaluator`` in one
-   vectorized pass, including the batch/scalar equivalence error;
+   vectorized pass, checked result for result against the scalar loop;
 3. **pipeline** — end-to-end ``ExperimentPipeline`` wall time into a
    fresh cache (quick scale), serial and with ``--workers`` fan-out.
 
@@ -15,8 +15,10 @@ Usage::
     PYTHONPATH=src python scripts/bench_sweep.py            # full (1000 configs)
     PYTHONPATH=src python scripts/bench_sweep.py --smoke    # CI-sized
 
-Outside ``--smoke`` the script exits non-zero unless the batch engine is
->= 10x the scalar loop and agrees with it to 1e-9 relative tolerance.
+In every mode the script exits non-zero unless each batch
+``EfficiencyResult`` equals (``==``) the scalar evaluator's; outside
+``--smoke`` it also requires the batch engine to be >= 10x the scalar
+loop.
 
 The worker fan-out is judged on **steady state**: pool spawn + worker
 warmup is a once-per-pool cost (measured separately as
@@ -56,7 +58,6 @@ from repro.timing.resources import derive_machine_params
 from repro.workloads.generator import PhaseSpec, TraceGenerator
 
 REQUIRED_SPEEDUP = 10.0
-REQUIRED_RTOL = 1e-9
 #: steady-state fan-out may be at most this much slower than serial
 #: (scheduling jitter allowance) before it counts as a regression.
 MAX_STEADY_FANOUT_RATIO = 1.15
@@ -96,11 +97,7 @@ def bench_evaluators(pool_size: int, trace_length: int, repeats: int) -> dict:
         batch_results = batch.evaluate_many(char, pool)
         batch_seconds.append(time.perf_counter() - t0)
 
-    max_rel_err = 0.0
-    for a, b in zip(scalar_results, batch_results):
-        for field in ("cycles", "time_ns", "energy_pj", "efficiency"):
-            va, vb = getattr(a, field), getattr(b, field)
-            max_rel_err = max(max_rel_err, abs(va - vb) / abs(va))
+    mismatches = sum(a != b for a, b in zip(scalar_results, batch_results))
 
     # Median, not min: min-of-N systematically flatters whichever path
     # happens to dodge a scheduler hiccup, and single samples (the old
@@ -118,7 +115,7 @@ def bench_evaluators(pool_size: int, trace_length: int, repeats: int) -> dict:
             "configs_per_sec": pool_size / t_batch,
         },
         "speedup": t_scalar / t_batch,
-        "max_rel_err": max_rel_err,
+        "mismatches": mismatches,
     }
 
 
@@ -200,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker count for the pipeline fan-out timing")
     parser.add_argument("--smoke", action="store_true",
                         help="CI mode: small sizes, no speedup gate "
-                             "(equivalence is still enforced)")
+                             "(equality is still enforced)")
     parser.add_argument("--skip-pipeline", action="store_true")
     parser.add_argument("--output", type=Path,
                         default=Path(__file__).resolve().parent.parent
@@ -218,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         f"scalar: {evaluators['scalar']['configs_per_sec']:,.0f} configs/s   "
         f"batch: {evaluators['batch']['configs_per_sec']:,.0f} configs/s   "
         f"speedup: {evaluators['speedup']:.1f}x   "
-        f"max rel err: {evaluators['max_rel_err']:.2e}"
+        f"mismatches: {evaluators['mismatches']}"
     )
 
     report = {
@@ -261,10 +258,10 @@ def main(argv: list[str] | None = None) -> int:
             "pipeline results with worker fan-out diverge from the serial "
             "build (expected bit-identical oracle ratios)"
         )
-    if evaluators["max_rel_err"] > REQUIRED_RTOL:
+    if evaluators["mismatches"]:
         failures.append(
-            f"batch/scalar divergence {evaluators['max_rel_err']:.2e} "
-            f"> {REQUIRED_RTOL}"
+            f"{evaluators['mismatches']} batch results differ from the "
+            f"scalar evaluator's (expected every result equal)"
         )
     if not args.smoke and evaluators["speedup"] < REQUIRED_SPEEDUP:
         failures.append(

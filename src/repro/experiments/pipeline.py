@@ -67,7 +67,7 @@ from repro.experiments.journal import RunJournal
 from repro.experiments.runner import PhaseRunner, RetryPolicy
 from repro.experiments.scale import ReproScale
 from repro.experiments.sweeps import run_phase_sweep
-from repro.model.crossval import PhaseRecord
+from repro.model.training import PhaseRecord
 from repro.power.metrics import EfficiencyResult
 from repro.timing.batch import BatchIntervalEvaluator
 from repro.timing.characterize import TraceCharacterization, characterize
@@ -228,9 +228,9 @@ class ExperimentPipeline:
         return (f"t{scale.threshold}-r{scale.regularization}"
                 f"-i{scale.max_iterations}")
 
-    def _prediction_key(self, feature_set: str, mode: str) -> str:
+    def _prediction_key(self, feature_set: str) -> str:
         return self.store.versioned_key(self.scale.tag, "predictions",
-                                        feature_set, mode, self._training_tag)
+                                        feature_set, self._training_tag)
 
     def _full_predictor_key(self, feature_set: str) -> str:
         return self.store.versioned_key(self.scale.tag, "full-predictor",
@@ -450,27 +450,21 @@ class ExperimentPipeline:
             for data in self.all_phase_data.values()
         ]
 
-    def predictions(self, feature_set: str = "advanced",
-                    warm_start: bool = False) -> dict[PhaseKey,
-                                                      MicroarchConfig]:
+    def predictions(self, feature_set: str = "advanced"
+                    ) -> dict[PhaseKey, MicroarchConfig]:
         """Leave-one-program-out predictions for every phase (cached).
 
-        Cross-validation runs through the fast engine
-        (:func:`~repro.model.fastcv.fast_leave_one_program_out`): good
+        Cross-validation runs through
+        :func:`~repro.model.fastcv.fast_leave_one_program_out`: good
         sets and parameter datasets are assembled once, the 364
         (fold, parameter) fits fan out over ``train_workers`` processes
         (``REPRO_TRAIN_WORKERS``), and each trained fold's weights are
         memoised in the store — so an interrupted or repeated sweep
-        retrains only what is missing.  The default mode's predictions
-        are bit-identical to the serial reference
-        (:func:`~repro.model.crossval.leave_one_program_out`);
-        ``warm_start=True`` opts into the accelerated warm-started mode
-        (cached under its own key).
+        retrains only what is missing.
         """
         if feature_set not in FEATURE_EXTRACTORS:
             raise KeyError(f"unknown feature set {feature_set!r}")
-        mode = "warm" if warm_start else "ones"
-        key = self._prediction_key(feature_set, mode)
+        key = self._prediction_key(feature_set)
 
         # Imported here: fastcv sits above the experiments package (it
         # reuses DataStore/PhaseRunner), so a module-level import would
@@ -479,14 +473,12 @@ class ExperimentPipeline:
 
         def compute() -> dict[PhaseKey, MicroarchConfig]:
             self._log(f"leave-one-out cross-validation ({feature_set})")
-            with obs.span("cv.predictions", feature_set=feature_set,
-                          mode=mode):
+            with obs.span("cv.predictions", feature_set=feature_set):
                 return fast_leave_one_program_out(
                     self.phase_records(feature_set),
                     regularization=self.scale.regularization,
                     threshold=self.scale.threshold,
                     max_iterations=self.scale.max_iterations,
-                    warm_start=warm_start,
                     workers=self.train_workers,
                     store=self.store,
                     cache_tag=f"{self.scale.tag}/{feature_set}",

@@ -1,12 +1,17 @@
-"""Fast leave-one-program-out cross-validation (the training hot path).
+"""Leave-one-program-out cross-validation (section V-D).
 
-:func:`~repro.model.crossval.leave_one_program_out` is the faithful
-reference: for each of the 26 folds it re-selects every phase's good
-configurations, re-assembles all 14 per-parameter training sets from
-scratch, and runs every conjugate-gradient fit serially from the all-ones
+"We built our model and evaluated it using leave-one-out cross-validation
+...  when we present results for a specific program, our model has never
+been trained with it."  The unit of holdout is the *program*: every phase
+of the held-out benchmark is predicted by a model trained on the other
+benchmarks' phases.
+
+The straightforward loop re-selects every phase's good configurations and
+re-assembles all 14 per-parameter training sets for each of the 26 folds,
+then runs every conjugate-gradient fit serially from the all-ones
 initialisation — even though adjacent folds share 25/26 of their data.
-This module is the production engine that removes the redundancy without
-changing the answers:
+That loop lives on as the test oracle ``tests/reference_crossval.py``.
+This module removes the redundancy without changing the answers:
 
 * **incremental assembly** — good sets and the per-parameter label-count
   rows are computed *once* over the full suite; each fold's
@@ -19,17 +24,13 @@ changing the answers:
   journalling; shared training material travels to the workers through
   the :class:`~repro.experiments.datastore.DataStore` once per process;
 * **fold-weight memoisation** — trained weight matrices are cached under
-  a content fingerprint (features + good sets + hyper-parameters +
-  mode), so ablation sweeps that revisit a fold reuse its fit and an
-  interrupted sweep resumes where it stopped;
-* **warm starts** (opt-in ``warm_start=True``) — each fold's CG starts
-  from the all-data model's weights and trains through the
-  row-deduplicated objective.  The default stays paper-faithful: all-ones
-  initialisation and the reference objective, which makes the default
-  mode's optimisation trajectories — and therefore its predictions —
-  bit-identical to the serial reference.  Warm mode converges to the
-  same (strictly convex) optimum but along a different trajectory; its
-  parity is statistical, measured and gated by ``scripts/bench_train.py``.
+  a content fingerprint (features + good sets + hyper-parameters), so
+  ablation sweeps that revisit a fold reuse its fit and an interrupted
+  sweep resumes where it stopped.
+
+Every fit starts from all-ones weights and follows the same
+conjugate-gradient trajectory as the serial loop, so the fold weights —
+and therefore the predictions — are bit-identical to it.
 
 Held-out programs are scored with
 :meth:`~repro.model.predictor.ConfigurationPredictor.predict_batch`: one
@@ -50,11 +51,11 @@ from repro.config.configuration import MicroarchConfig
 from repro.config.parameters import TABLE1_PARAMETERS, Parameter
 from repro.experiments.datastore import DataStore
 from repro.experiments.journal import RunJournal
-from repro.experiments.runner import PhaseRunner, RetryPolicy
-from repro.model.crossval import PhaseRecord
+from repro.experiments.runner import PhaseRunner
 from repro.model.predictor import ConfigurationPredictor
 from repro.model.softmax import SoftmaxClassifier
 from repro.model.training import (
+    PhaseRecord,
     TrainingSet,
     build_full_datasets,
     good_configurations,
@@ -81,8 +82,6 @@ class _FoldMaterial:
     max_iterations: int
     datasets: dict[str, TrainingSet]
     program_of_phase: tuple[str, ...]
-    initial: dict[str, np.ndarray] | None
-    compressed: bool
 
 
 # -- cache keys (RPL-C001: all built through DataStore.versioned_key) -------
@@ -96,10 +95,6 @@ def _fold_key(store: DataStore, fingerprint: str, held_out: str,
               parameter_name: str) -> str:
     return store.versioned_key("fastcv", "fold", fingerprint, held_out,
                                parameter_name)
-
-
-def _warm_init_key(store: DataStore, fingerprint: str) -> str:
-    return store.versioned_key("fastcv", "warm-init", fingerprint)
 
 
 # -- worker side ------------------------------------------------------------
@@ -133,10 +128,8 @@ def _train_fold(material: _FoldMaterial, held_out: str,
 
     The fold's training set is the full-suite dataset restricted to the
     phases of every program but ``held_out`` — bit-identical to the
-    arrays a from-scratch per-fold build would produce, so with the
-    default all-ones initialisation and reference objective the CG
-    trajectory (and the returned weights) match the serial reference
-    exactly.
+    arrays a from-scratch per-fold build would produce, so the CG
+    trajectory (and the returned weights) match the serial loop exactly.
     """
     with obs.span("cv.fold", held_out=held_out, parameter=parameter_name):
         dataset = material.datasets[parameter_name]
@@ -149,12 +142,7 @@ def _train_fold(material: _FoldMaterial, held_out: str,
             regularization=material.regularization,
             max_iterations=material.max_iterations,
         )
-        classifier.fit(
-            fold.x, fold.labels, sample_weight=fold.weights,
-            initial_weights=(None if material.initial is None
-                             else material.initial[parameter_name]),
-            compression=fold.compression() if material.compressed else None,
-        )
+        classifier.fit(fold.x, fold.labels, sample_weight=fold.weights)
         weights = classifier.weights
         assert weights is not None
         obs.inc("cv.folds_trained")
@@ -189,28 +177,20 @@ class FastCrossValidator:
     """Leave-one-program-out cross-validation over shared training material.
 
     Args:
-        records: one :class:`~repro.model.crossval.PhaseRecord` per phase.
+        records: one :class:`~repro.model.training.PhaseRecord` per phase.
         parameters: parameters to predict (defaults to Table I).
         regularization: lambda of eq. 6 (paper: 0.5).
         threshold: good-configuration slack (paper: 0.05).
         max_iterations: CG budget per parameter model.
-        warm_start: start each fold's CG from the all-data model's
-            weights and train through the row-deduplicated objective.
-            Off by default: the paper-faithful all-ones initialisation
-            plus the reference objective reproduce the serial reference's
-            weights bit for bit.
         workers: process count for the fold fan-out; ``<= 1`` trains
             in-process.  More than one worker requires a ``store`` (fold
             results travel through it).
         store: optional :class:`DataStore`; when given, trained fold
-            weights (and the warm-start model) are memoised under a
-            content fingerprint, so repeated runs and ablation sweeps
-            that revisit a fold reuse its fit.
+            weights are memoised under a content fingerprint, so repeated
+            runs and ablation sweeps that revisit a fold reuse its fit.
         cache_tag: extra fingerprint component (e.g. the scale tag) to
             keep cache entries from different experiment scales apart.
         journal: optional run journal for the fan-out's attempt log.
-        policy: retry budget/backoff for the fan-out.
-        timeout: per-fit seconds for the fan-out.
         log: optional progress sink (e.g. ``print``).
     """
 
@@ -222,13 +202,10 @@ class FastCrossValidator:
         threshold: float = 0.05,
         max_iterations: int = 200,
         *,
-        warm_start: bool = False,
         workers: int | None = None,
         store: DataStore | None = None,
         cache_tag: str = "",
         journal: RunJournal | None = None,
-        policy: RetryPolicy | None = None,
-        timeout: float | None = None,
         log: Callable[[str], None] | None = None,
     ) -> None:
         if not records:
@@ -238,13 +215,10 @@ class FastCrossValidator:
         self.regularization = regularization
         self.threshold = threshold
         self.max_iterations = max_iterations
-        self.warm_start = warm_start
         self.workers = 1 if workers is None else max(1, workers)
         self.store = store
         self.cache_tag = cache_tag
         self.journal = journal
-        self.policy = policy
-        self.timeout = timeout
         self._log: Callable[[str], None] = log or (lambda message: None)
         self.programs = sorted({record.program for record in self.records})
         if len(self.programs) < 2:
@@ -276,15 +250,12 @@ class FastCrossValidator:
         """Content hash of everything a fold fit depends on.
 
         Covers the training inputs (features and good sets), the
-        hyper-parameters, the parameter list, and the training mode —
-        so cached fold weights are reused exactly when they would be
-        recomputed identically, and a warm-started fit can never be
-        served where a paper-faithful one was requested.
+        hyper-parameters and the parameter list, so cached fold weights
+        are reused exactly when they would be recomputed identically.
         """
         digest = hashlib.sha256()
-        mode = "warm" if self.warm_start else "ones"
         digest.update(repr((self.regularization, self.threshold,
-                            self.max_iterations, mode,
+                            self.max_iterations,
                             self.cache_tag)).encode())
         for parameter in self.parameters:
             digest.update(parameter.name.encode())
@@ -301,29 +272,6 @@ class FastCrossValidator:
         return digest.hexdigest()[:32]
 
     @cached_property
-    def initial(self) -> dict[str, np.ndarray] | None:
-        """Warm-start weights: the all-data model, trained (and cached)
-        once; ``None`` in the default all-ones mode."""
-        if not self.warm_start:
-            return None
-        if self.store is not None:
-            return self.store.get_or_compute(
-                _warm_init_key(self.store, self.fingerprint),
-                self._train_all_data,
-            )
-        return self._train_all_data()
-
-    def _train_all_data(self) -> dict[str, np.ndarray]:
-        self._log("training all-data warm-start model")
-        predictor = ConfigurationPredictor(
-            parameters=self.parameters,
-            regularization=self.regularization,
-            max_iterations=self.max_iterations,
-        )
-        predictor.fit(datasets=self.datasets, compressed=True)
-        return predictor.weights_state()
-
-    @cached_property
     def material(self) -> _FoldMaterial:
         return _FoldMaterial(
             regularization=self.regularization,
@@ -331,8 +279,6 @@ class FastCrossValidator:
             datasets=self.datasets,
             program_of_phase=tuple(record.program
                                    for record in self.records),
-            initial=self.initial,
-            compressed=self.warm_start,
         )
 
     # -- training -----------------------------------------------------------
@@ -384,8 +330,6 @@ class FastCrossValidator:
         runner = PhaseRunner(
             partial(_fold_worker_task, store_dir, self.fingerprint),
             workers=workers,
-            policy=self.policy,
-            timeout=self.timeout,
             journal=self.journal,
             verify=self._fold_cached,
             invalidate=self._invalidate_fold,
@@ -412,8 +356,7 @@ class FastCrossValidator:
 
     def run(self) -> dict[PhaseKey, MicroarchConfig]:
         """Predict a configuration for every phase, never training on its
-        own program (same contract as
-        :func:`~repro.model.crossval.leave_one_program_out`)."""
+        own program."""
         fold_weights = self.fold_weights()
         features = np.vstack([
             np.asarray(record.features, dtype=np.float64).ravel()
@@ -441,21 +384,18 @@ def fast_leave_one_program_out(
     threshold: float = 0.05,
     max_iterations: int = 200,
     *,
-    warm_start: bool = False,
     workers: int | None = None,
     store: DataStore | None = None,
     cache_tag: str = "",
     journal: RunJournal | None = None,
-    policy: RetryPolicy | None = None,
-    timeout: float | None = None,
     log: Callable[[str], None] | None = None,
 ) -> dict[PhaseKey, MicroarchConfig]:
-    """Drop-in fast replacement for
-    :func:`~repro.model.crossval.leave_one_program_out`.
+    """Predict a configuration for every phase, never training on its
+    own program (see :class:`FastCrossValidator` for the keyword-only
+    fold fan-out and fold-weight caching).
 
-    Identical signature and return value for the shared leading
-    arguments; the keyword-only extras opt into warm starts, the fold
-    fan-out, and fold-weight caching (see :class:`FastCrossValidator`).
+    Returns:
+        phase key -> predicted configuration.
     """
     return FastCrossValidator(
         records,
@@ -463,12 +403,9 @@ def fast_leave_one_program_out(
         regularization=regularization,
         threshold=threshold,
         max_iterations=max_iterations,
-        warm_start=warm_start,
         workers=workers,
         store=store,
         cache_tag=cache_tag,
         journal=journal,
-        policy=policy,
-        timeout=timeout,
         log=log,
     ).run()

@@ -16,11 +16,7 @@ import numpy as np
 from repro.config.configuration import MicroarchConfig
 from repro.config.parameters import TABLE1_PARAMETERS, Parameter
 from repro.model.softmax import SoftmaxClassifier
-from repro.model.training import (
-    TrainingSet,
-    build_parameter_dataset,
-    good_configurations,
-)
+from repro.model.training import build_full_datasets, good_configurations
 
 __all__ = ["ConfigurationPredictor"]
 
@@ -52,36 +48,18 @@ class ConfigurationPredictor:
 
     def fit(
         self,
-        features: Sequence[np.ndarray] | None = None,
-        good_sets: Sequence[Sequence[MicroarchConfig]] | None = None,
-        *,
-        datasets: Mapping[str, TrainingSet] | None = None,
-        initial: Mapping[str, np.ndarray] | None = None,
-        compressed: bool = False,
+        features: Sequence[np.ndarray],
+        good_sets: Sequence[Sequence[MicroarchConfig]],
     ) -> "ConfigurationPredictor":
         """Train one classifier per parameter from good-configuration sets.
 
         Args:
             features: one counter vector per training phase.
             good_sets: the good configurations of each phase (aligned).
-            datasets: prebuilt per-parameter training sets (e.g. fold
-                views from :meth:`TrainingSet.restrict`); when given,
-                ``features``/``good_sets`` are not needed and are not
-                re-assembled.
-            initial: per-parameter initial weight matrices (warm start);
-                parameters absent from the mapping start at all-ones.
-            compressed: train through the row-deduplicated objective
-                (mathematically exact, different float summation order —
-                not bit-faithful to the reference trajectory).
         """
-        if datasets is None:
-            if not features or good_sets is None:
-                raise ValueError("no training phases supplied")
-            datasets = {
-                parameter.name: build_parameter_dataset(parameter, features,
-                                                        good_sets)
-                for parameter in self.parameters
-            }
+        if not features:
+            raise ValueError("no training phases supplied")
+        datasets = build_full_datasets(self.parameters, features, good_sets)
         for parameter in self.parameters:
             dataset = datasets[parameter.name]
             classifier = SoftmaxClassifier(
@@ -89,13 +67,8 @@ class ConfigurationPredictor:
                 regularization=self.regularization,
                 max_iterations=self.max_iterations,
             )
-            classifier.fit(
-                dataset.x, dataset.labels,
-                sample_weight=dataset.weights,
-                initial_weights=None if initial is None
-                else initial.get(parameter.name),
-                compression=dataset.compression() if compressed else None,
-            )
+            classifier.fit(dataset.x, dataset.labels,
+                           sample_weight=dataset.weights)
             self.classifiers[parameter.name] = classifier
         return self
 

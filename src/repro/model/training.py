@@ -4,7 +4,9 @@ Section IV-D: the model is trained not on the single best configuration of
 each phase but on the set of *good* configurations — "those that are
 within 5% of the best empirical performance".  Each good configuration of
 each training phase contributes one training sample per microarchitectural
-parameter: (phase counters ``x``, parameter value index).
+parameter: (phase counters ``x``, parameter value index).  A
+:class:`PhaseRecord` carries one phase's counters and evaluations into
+leave-one-program-out cross-validation (section V-D).
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 
 from repro.config.configuration import MicroarchConfig
 from repro.config.parameters import Parameter
-from repro.model.softmax import RowCompression
 
 __all__ = [
+    "PhaseRecord",
     "good_configurations",
     "build_parameter_dataset",
     "build_full_datasets",
@@ -49,6 +51,35 @@ def good_configurations(
     best = max(evaluations.values())
     cut = best * (1.0 - threshold)
     return [config for config, value in evaluations.items() if value >= cut]
+
+
+@dataclass
+class PhaseRecord:
+    """One phase's training/evaluation material."""
+
+    program: str
+    phase_id: int
+    features: np.ndarray
+    evaluations: dict[MicroarchConfig, float]
+
+    @property
+    def key(self) -> tuple[str, int]:
+        return (self.program, self.phase_id)
+
+    @property
+    def best(self) -> tuple[MicroarchConfig, float]:
+        """The highest-efficiency configuration, ties broken by config.
+
+        Efficiency ties are resolved by the configurations' value tuples
+        rather than dict insertion order, so the answer is a function of
+        the evaluations alone — not of the order a sweep happened to
+        produce them in.
+        """
+        config = min(
+            self.evaluations,
+            key=lambda c: (-self.evaluations[c], c.as_tuple()),
+        )
+        return config, self.evaluations[config]
 
 
 @dataclass(frozen=True)
@@ -104,17 +135,6 @@ class TrainingSet:
             weights=self.weights[keep_rows],
             phase_ids=tuple(int(i) for i in local[phase_ids[keep_rows]]),
         )
-
-    def compression(self) -> RowCompression:
-        """Row-deduplication structure keyed by the contributing phase.
-
-        Rows from the same phase share one counter vector (they differ
-        only in label), and :func:`build_parameter_dataset` emits them
-        contiguously — so grouping by ``phase_ids`` captures every
-        duplicate row without comparing row contents.
-        """
-        return RowCompression.from_grouped(
-            self.x, np.asarray(self.phase_ids, dtype=np.int64))
 
 
 def build_parameter_dataset(

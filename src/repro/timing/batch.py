@@ -13,8 +13,8 @@ one vectorized pass.
 Every vectorized expression mirrors the scalar evaluator term for term
 (same operation order, float64 throughout), so position ``i`` of a batch
 agrees with ``IntervalEvaluator.evaluate`` on configuration ``i`` bitwise —
-``tests/test_timing_batch.py`` asserts agreement to 1e-9 relative
-tolerance across random configurations and characterisations.
+``tests/test_timing_batch.py`` asserts that every result is equal across
+random configurations and characterisations.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.config.configuration import MicroarchConfig
 from repro.config.parameters import PARAMETER_NAMES
 from repro.power.metrics import EfficiencyResult
 from repro.power.wattch import account_batch
-from repro.timing.characterize import TraceCharacterization
+from repro.timing.characterize import NOMINAL_LOAD_WEIGHT, TraceCharacterization
 from repro.timing.interval import IntervalEvaluator
 from repro.timing.resources import (
     ARCH_REGS,
@@ -45,11 +45,6 @@ __all__ = [
     "CharTables",
     "ConfigBatch",
 ]
-
-#: Nominal load weight of the characterisation's weighted ILP curve (keep in
-#: sync with ``repro.timing.characterize._NOMINAL_LOAD_WEIGHT``).
-_NOMINAL_LOAD_WEIGHT = 4.0
-
 
 class ConfigBatch:
     """A sequence of configurations packed into per-parameter arrays."""
@@ -144,7 +139,7 @@ class CharTables:
         ops = np.interp(w, ws, self.path_ops)
         weighted = np.interp(w, ws, self.path_weighted)
         loads_on_path = np.maximum(
-            0.0, (weighted - ops) / (_NOMINAL_LOAD_WEIGHT - 1.0)
+            0.0, (weighted - ops) / (NOMINAL_LOAD_WEIGHT - 1.0)
         )
         alu_on_path = np.maximum(1e-9, ops - loads_on_path)
         path_cycles = alu_on_path * alu_latency + loads_on_path * load_latency

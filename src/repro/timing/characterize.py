@@ -39,7 +39,7 @@ __all__ = ["TraceCharacterization", "characterize", "WINDOW_GRID"]
 WINDOW_GRID: tuple[int, ...] = (4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 160, 224)
 
 #: Nominal load latency used for the load-weighted critical path.
-_NOMINAL_LOAD_WEIGHT = 4.0
+NOMINAL_LOAD_WEIGHT = 4.0
 
 #: Chunk length of the critical-path DP: the grid's least common multiple
 #: (13440), so chunk edges are block edges of every window.  It bounds the
@@ -68,7 +68,7 @@ class TraceCharacterization:
     # ILP: mean critical-path depth of w-instruction windows.
     window_sizes: tuple[int, ...]
     path_ops: tuple[float, ...]  # unit-weighted depth
-    path_weighted: tuple[float, ...]  # loads weighted _NOMINAL_LOAD_WEIGHT
+    path_weighted: tuple[float, ...]  # loads weighted NOMINAL_LOAD_WEIGHT
 
     # Memory: fully-associative miss ratios per capacity (in blocks).
     dcache_miss: dict[int, float]
@@ -92,7 +92,7 @@ class TraceCharacterization:
         w = min(window, self.window_sizes[-1])
         ops = float(np.interp(w, self.window_sizes, self.path_ops))
         weighted = float(np.interp(w, self.window_sizes, self.path_weighted))
-        loads_on_path = max(0.0, (weighted - ops) / (_NOMINAL_LOAD_WEIGHT - 1.0))
+        loads_on_path = max(0.0, (weighted - ops) / (NOMINAL_LOAD_WEIGHT - 1.0))
         alu_on_path = max(1e-9, ops - loads_on_path)
         path_cycles = alu_on_path * alu_latency + loads_on_path * load_latency
         return w / max(path_cycles, 1e-9)
@@ -182,7 +182,7 @@ def _block_peak_sums(src1: np.ndarray, src2: np.ndarray, is_load: np.ndarray,
     sources = (source_rows(src1), source_rows(src2))
     weight = np.empty((rows, 2))
     weight[:, 0] = 1.0
-    weight[:, 1] = np.where(is_load, _NOMINAL_LOAD_WEIGHT, 1.0)[inst]
+    weight[:, 1] = np.where(is_load, NOMINAL_LOAD_WEIGHT, 1.0)[inst]
     depth = np.zeros((rows, 2))
     # A step's rows map onto the tail of the (window, block) list.
     peak = np.zeros((int(blocks.sum()), 2))

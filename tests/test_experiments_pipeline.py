@@ -132,9 +132,8 @@ class TestTrainingKeys:
                                    store=store, workers=1)
         assert other.scale.tag == base.scale.tag
         for feature_set in ("advanced", "basic"):
-            for mode in ("ones", "warm"):
-                assert other._prediction_key(feature_set, mode) != \
-                    base._prediction_key(feature_set, mode)
+            assert other._prediction_key(feature_set) != \
+                base._prediction_key(feature_set)
             assert other._full_predictor_key(feature_set) != \
                 base._full_predictor_key(feature_set)
         for program in tiny_scale.benchmarks:
@@ -149,11 +148,11 @@ class TestTrainingKeys:
         first.predictions("basic")
         longer = ExperimentPipeline(tiny_scale.with_(max_iterations=6),
                                     store=store, workers=1, train_workers=1)
-        key = longer._prediction_key("basic", "ones")
+        key = longer._prediction_key("basic")
         assert not store.contains(key)
         longer.predictions("basic")
         assert store.contains(key)
-        assert store.contains(first._prediction_key("basic", "ones"))
+        assert store.contains(first._prediction_key("basic"))
 
 
 class TestPrefetch:

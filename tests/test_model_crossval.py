@@ -1,10 +1,11 @@
-"""Tests for leave-one-program-out cross-validation."""
+"""Behaviour of leave-one-program-out cross-validation and of
+:class:`~repro.model.PhaseRecord`."""
 
 import numpy as np
 import pytest
 
 from repro.config import DesignSpace
-from repro.model import PhaseRecord, leave_one_program_out
+from repro.model import PhaseRecord, fast_leave_one_program_out
 
 
 def records_for(programs, phases_per_program=3, seed=0):
@@ -27,12 +28,12 @@ def records_for(programs, phases_per_program=3, seed=0):
 class TestLeaveOneOut:
     def test_every_phase_predicted(self):
         records = records_for(["a", "b", "c"])
-        predictions = leave_one_program_out(records, max_iterations=40)
+        predictions = fast_leave_one_program_out(records, max_iterations=40)
         assert set(predictions) == {r.key for r in records}
 
     def test_learns_across_programs(self):
         records = records_for(["a", "b", "c", "d"], phases_per_program=6)
-        predictions = leave_one_program_out(records, max_iterations=80)
+        predictions = fast_leave_one_program_out(records, max_iterations=80)
         correct = 0
         for record in records:
             predicted = predictions[record.key]
@@ -43,11 +44,11 @@ class TestLeaveOneOut:
     def test_needs_two_programs(self):
         records = records_for(["solo"])
         with pytest.raises(ValueError):
-            leave_one_program_out(records)
+            fast_leave_one_program_out(records)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            leave_one_program_out([])
+            fast_leave_one_program_out([])
 
     def test_record_best_property(self):
         records = records_for(["a", "b"])
@@ -82,5 +83,5 @@ class TestLeaveOneOut:
         """A phase key appears exactly once, predicted by the fold that
         excluded its program."""
         records = records_for(["a", "b", "c"])
-        predictions = leave_one_program_out(records, max_iterations=30)
+        predictions = fast_leave_one_program_out(records, max_iterations=30)
         assert len(predictions) == len(records)

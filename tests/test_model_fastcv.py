@@ -1,4 +1,5 @@
-"""Tests for the fast leave-one-program-out cross-validation engine."""
+"""Tests for the leave-one-program-out cross-validation engine, checked
+against the serial loop in ``tests/reference_crossval.py``."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from repro.model import (
     FastCrossValidator,
     PhaseRecord,
     fast_leave_one_program_out,
-    leave_one_program_out,
 )
+from tests.reference_crossval import fold_weights, leave_one_program_out
 
 
 def records_for(programs, phases_per_program=3, seed=0):
@@ -34,8 +35,7 @@ def records_for(programs, phases_per_program=3, seed=0):
 def structured_records(n_programs=6, phases_per_program=4, n_features=8,
                        pool_size=40, seed=0):
     """A suite whose ideal configuration is a shared function of the
-    features, so leave-one-out folds genuinely generalise — the shape on
-    which warm-started and cold fits agree at convergence."""
+    features, so leave-one-out folds genuinely generalise."""
     rng = np.random.default_rng(seed)
     pool = DesignSpace(seed=seed + 1).random_sample(pool_size)
     parameters = TABLE1_PARAMETERS
@@ -78,6 +78,18 @@ class TestDefaultModeParity:
         fast = fast_leave_one_program_out(records, max_iterations=60)
         assert fast == serial
 
+    def test_fold_weights_equal_reference_fits(self):
+        """Every (fold, parameter) weight matrix equals the serial loop's:
+        same all-ones start, same objective arithmetic, same CG path."""
+        records = structured_records(n_programs=3, phases_per_program=3)
+        expected = fold_weights(records, max_iterations=25)
+        actual = FastCrossValidator(records, max_iterations=25).fold_weights()
+        assert set(actual) == set(expected)
+        for held_out, weights in expected.items():
+            assert set(actual[held_out]) == set(weights)
+            for name, matrix in weights.items():
+                np.testing.assert_array_equal(actual[held_out][name], matrix)
+
     def test_workers_parity(self, tmp_path):
         """The fold fan-out lands on the same predictions as serial."""
         records = records_for(["a", "b", "c"], phases_per_program=3)
@@ -104,17 +116,24 @@ class TestFoldCaching:
         # one hit per (fold, parameter)
         assert store.hits - hits_before == 3 * len(TABLE1_PARAMETERS)
 
-    def test_fingerprint_tracks_inputs_and_mode(self):
+    def test_fingerprint_tracks_inputs(self):
         records = records_for(["a", "b", "c"])
         base = FastCrossValidator(records, max_iterations=30)
-        warm = FastCrossValidator(records, max_iterations=30,
-                                  warm_start=True)
         other_iters = FastCrossValidator(records, max_iterations=31)
+        other_lambda = FastCrossValidator(records, max_iterations=30,
+                                          regularization=0.9)
+        other_threshold = FastCrossValidator(records, max_iterations=30,
+                                             threshold=0.07)
+        other_records = FastCrossValidator(records_for(["a", "b", "c"],
+                                                       seed=1),
+                                           max_iterations=30)
         tagged = FastCrossValidator(records, max_iterations=30,
                                     cache_tag="quick")
-        fingerprints = [base.fingerprint, warm.fingerprint,
-                        other_iters.fingerprint, tagged.fingerprint]
-        assert len(set(fingerprints)) == 4
+        fingerprints = [base.fingerprint, other_iters.fingerprint,
+                        other_lambda.fingerprint,
+                        other_threshold.fingerprint,
+                        other_records.fingerprint, tagged.fingerprint]
+        assert len(set(fingerprints)) == 6
         # Same inputs -> same fingerprint (cache is actually reusable).
         again = FastCrossValidator(records_for(["a", "b", "c"]),
                                    max_iterations=30)
@@ -132,30 +151,6 @@ class TestFoldCaching:
                             lambda self, store, missing: None)
         predictions = validator.run()
         assert set(predictions) == {r.key for r in records}
-
-
-class TestWarmStart:
-    def test_agrees_with_cold_at_convergence(self):
-        """Warm starts follow a different float trajectory to the same
-        strictly-convex optimum: at a convergence-level CG budget the
-        predicted configurations agree on (nearly) every phase."""
-        records = structured_records(n_programs=5, phases_per_program=3)
-        cold = fast_leave_one_program_out(records, max_iterations=2000)
-        warm = fast_leave_one_program_out(records, max_iterations=2000,
-                                          warm_start=True)
-        agree = sum(cold[key] == warm[key] for key in cold)
-        assert agree / len(cold) >= 0.8
-
-    def test_warm_and_default_caches_are_disjoint(self, tmp_path):
-        records = records_for(["a", "b", "c"], phases_per_program=2)
-        store = DataStore(tmp_path)
-        fast_leave_one_program_out(records, max_iterations=30, store=store)
-        misses = store.misses
-        fast_leave_one_program_out(records, max_iterations=30, store=store,
-                                   warm_start=True)
-        # Warm mode trained its own fits (plus the all-data model)
-        # rather than reusing paper-faithful entries.
-        assert store.misses > misses
 
 
 class TestValidation:
