@@ -46,6 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
+from bench_train import git_commit
 from repro import obs
 from repro.config.space import DesignSpace
 from repro.experiments.datastore import DataStore
@@ -219,6 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     report = {
+        **git_commit(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
         "machine": platform.machine(),

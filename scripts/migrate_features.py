@@ -17,7 +17,9 @@ for key in pipe.phase_keys:
                      for name, extractor in FEATURE_EXTRACTORS.items()}
     pipe.store.put(cache_key, data)
     migrated += 1
-for fs in ("advanced", "basic"):
-    pipe.store.delete(pipe._prediction_key(fs))
-pipe.store.delete(pipe._full_predictor_key("advanced"))
+# Every trained product reads the recomputed features: the arena's
+# counters-only policy trains from full_predictor("basic").
+for name in FEATURE_EXTRACTORS:
+    pipe.store.delete(pipe._prediction_key(name))
+    pipe.store.delete(pipe._full_predictor_key(name))
 print(f"migrated {migrated} phase entries in {time.time()-t0:.0f}s")

@@ -1,20 +1,20 @@
 """reprolint: AST-based invariant checking for this repository.
 
-The repository's headline guarantees — bit-identical scalar/batch
-evaluation, resumable crash-safe cache builds, reproducible sweeps —
-rest on invariants that ordinary linters do not know about:
+The repository's headline guarantees — reproducible sweeps, a
+process-parallel pipeline whose results equal the serial build, and a
+serving loop that answers every request on time — rest on invariants
+that ordinary linters do not know about:
 
-* **determinism** (``RPL-D*``): no unseeded randomness, no wall-clock
-  reads in result-producing code, no iteration over unordered sets
-  feeding ordered output;
-* **pool-safety** (``RPL-P*``): only picklable top-level callables cross
-  the ``ProcessPoolExecutor`` boundary, and worker-executed functions do
-  not mutate module-level state;
-* **cache-hygiene** (``RPL-C*``): every key written through
-  :class:`~repro.experiments.datastore.DataStore` is schema-versioned,
-  and Cacti-style cost math stays in the one blessed implementation;
-* **numeric-safety** (``RPL-N*``): no bare float equality and no silent
-  ``float``→``int`` truncation in parameter derivation.
+* **determinism** (``RPL-D001``, ``RPL-D004``): no unseeded randomness,
+  no generator seeded from entropy or held in module state;
+* **pool-safety** (``RPL-P001``): only picklable top-level callables
+  cross the ``ProcessPoolExecutor`` boundary;
+* **async-safety** (``RPL-A001``, and ``RPL-A002`` over the call
+  graph): no blocking call on the serving event loop.
+
+Store keys and pool payloads are checked at run time instead, by
+``tests/test_experiments_pipeline.py::TestTrainingKeys`` and
+``tests/test_model_fastcv.py::TestDefaultModeParity``.
 
 Run it with::
 
@@ -34,10 +34,7 @@ from __future__ import annotations
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.engine import (
-    AnalysisReport,
     UnknownRuleError,
-    analyze_paths,
-    check_file,
     check_paths,
     check_project_sources,
     check_source,
@@ -58,11 +55,8 @@ __all__ = [
     "Project",
     "extract_facts",
     "check_source",
-    "check_file",
     "check_paths",
     "check_project_sources",
-    "analyze_paths",
-    "AnalysisReport",
     "UnknownRuleError",
     "main",
 ]

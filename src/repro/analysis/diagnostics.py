@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 
@@ -19,23 +18,3 @@ class Diagnostic:
     def render(self) -> str:
         """The canonical ``file:line:col RULE message`` form."""
         return f"{self.path}:{self.line}:{self.col} {self.rule} {self.message}"
-
-    def to_dict(self) -> dict[str, object]:
-        return {"path": self.path, "line": self.line, "col": self.col,
-                "rule": self.rule, "message": self.message}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Diagnostic":
-        return cls(path=data["path"], line=data["line"], col=data["col"],
-                   rule=data["rule"], message=data["message"])
-
-    def fingerprint(self) -> str:
-        """Stable identity for baseline grandfathering.
-
-        Deliberately excludes line/col so findings survive unrelated
-        edits shifting them around; moving a finding to a different
-        file or changing its message re-surfaces it.
-        """
-        digest = hashlib.sha256(
-            f"{self.path}::{self.rule}::{self.message}".encode())
-        return digest.hexdigest()[:16]

@@ -1,57 +1,36 @@
-"""File walking, rule dispatch, caching, parallelism and the CLI.
+"""File walking, rule dispatch and the CLI.
 
-The entry point is ``python -m repro.analysis <paths...>``.  A run has
-three stages:
-
-1. **Per-file analysis** — every ``.py`` file is parsed once; all
-   per-file rules run and whole-program facts are extracted.  Results
-   are cached under ``--cache-dir`` keyed by content hash, so a warm
-   run only re-analyses edited files, and cold runs fan out over
-   ``--jobs`` worker processes.
-2. **Whole-program analysis** — the facts of *every* module (cached or
-   fresh) feed the call-graph rules in
-   :mod:`repro.analysis.interproc`.  This stage always runs, which is
-   what makes warm output bit-identical to cold.
-3. **Reporting** — ``--select``/``--ignore`` filter by rule id,
-   ``--baseline`` grandfathers known findings, and the survivors print
-   as ``file:line:col RULE message`` (or ``--format sarif`` for CI
-   annotation).  ``--fix`` applies the mechanical autofixes and
-   re-checks.
+The entry point is ``python -m repro.analysis <paths...>``.  A run is
+one serial pass with no state kept between runs: every ``.py`` file is
+parsed once, the per-file rules (:mod:`repro.analysis.rules`) run on its
+AST and its call-graph facts are extracted; the facts of every file then
+form one :class:`~repro.analysis.project.Project` for the whole-program
+rule (:mod:`repro.analysis.interproc`).  ``--select``/``--ignore`` pick
+rules by id, and findings print as ``file:line:col RULE message``.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
-import json
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.analysis.cache import DEFAULT_CACHE_DIR, LintCache, source_digest
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.fixes import apply_fixes
 from repro.analysis.interproc import INTERPROC_RULES, run_project_rules
 from repro.analysis.module import ModuleInfo
-from repro.analysis.project import ModuleFacts, Project, extract_facts
-from repro.analysis.rules import ALL_RULES, Rule
-from repro.analysis.sarif import render_sarif
+from repro.analysis.project import Project, extract_facts
+from repro.analysis.rules import ALL_RULES
 
-__all__ = ["check_source", "check_file", "check_paths",
-           "check_project_sources", "iter_python_files", "analyze_paths",
-           "AnalysisReport", "UnknownRuleError", "main"]
+__all__ = ["check_source", "check_project_sources", "check_paths",
+           "iter_python_files", "UnknownRuleError", "main"]
 
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".repro_cache", ".venv",
-                        "node_modules", ".mypy_cache", ".pytest_cache",
-                        ".reprolint-cache"})
+                        "node_modules", ".mypy_cache", ".pytest_cache"})
 
 #: Pseudo-rule for unparseable files; always reported unless ignored.
 _SYNTAX_RULE = "RPL-E001"
-
-_BASELINE_VERSION = 1
 
 
 class UnknownRuleError(ValueError):
@@ -88,64 +67,36 @@ def _validate_rule_ids(ids: Iterable[str] | None) -> set[str] | None:
     return validated
 
 
-def _selected_rules(select: Iterable[str] | None = None,
-                    ignore: Iterable[str] | None = None) -> list[Rule]:
+def _selected_ids(select: Iterable[str] | None,
+                  ignore: Iterable[str] | None) -> set[str]:
+    """The rule ids a run reports; syntax errors unless ignored."""
     wanted = _validate_rule_ids(select)
     unwanted = _validate_rule_ids(ignore) or set()
-    return [rule for rule in ALL_RULES
-            if (wanted is None or rule.id in wanted)
-            and rule.id not in unwanted]
+    ids = (set(_known_rule_ids()) if wanted is None
+           else wanted | {_SYNTAX_RULE})
+    return ids - unwanted
 
 
-def _filter(diagnostics: Iterable[Diagnostic],
-            select: Iterable[str] | None,
-            ignore: Iterable[str] | None) -> list[Diagnostic]:
-    wanted = _validate_rule_ids(select)
-    unwanted = _validate_rule_ids(ignore) or set()
-    kept = []
-    for diagnostic in diagnostics:
-        if diagnostic.rule in unwanted:
-            continue
-        if wanted is not None and diagnostic.rule not in wanted \
-                and diagnostic.rule != _SYNTAX_RULE:
-            continue
-        kept.append(diagnostic)
-    return sorted(kept)
-
-
-# ---------------------------------------------------------------------------
-# per-file analysis (cache- and pool-friendly)
-# ---------------------------------------------------------------------------
-
-
-def _analyze_source(source: str, path: str
-                    ) -> tuple[ModuleFacts | None, list[Diagnostic]]:
-    """All per-file rules + facts extraction for one source string."""
+def _parse(source: str, path: str) -> ModuleInfo | Diagnostic:
+    """The parsed module, or an ``RPL-E001`` finding if it does not parse."""
     try:
-        module = ModuleInfo(source, path)
+        return ModuleInfo(source, path)
     except SyntaxError as error:
-        return None, [Diagnostic(path=path.replace("\\", "/"),
-                                 line=error.lineno or 1,
-                                 col=(error.offset or 1),
-                                 rule=_SYNTAX_RULE,
-                                 message=f"syntax error: {error.msg}")]
-    diagnostics: list[Diagnostic] = []
+        return Diagnostic(path=path.replace("\\", "/"),
+                          line=error.lineno or 1, col=error.offset or 1,
+                          rule=_SYNTAX_RULE,
+                          message=f"syntax error: {error.msg}")
+
+
+def _check_module(module: ModuleInfo,
+                  ids: set[str]) -> Iterator[Diagnostic]:
+    """Unsuppressed findings of the selected per-file rules."""
     for rule in ALL_RULES:
-        if not rule.applies_to(module.path):
+        if rule.id not in ids or not rule.applies_to(module.path):
             continue
         for diagnostic in rule.check(module):
             if not module.is_suppressed(diagnostic.rule, diagnostic.line):
-                diagnostics.append(diagnostic)
-    return extract_facts(module), sorted(diagnostics)
-
-
-def _analyze_file_task(path: str
-                       ) -> tuple[str, str, ModuleFacts | None,
-                                  list[Diagnostic]]:
-    """Pool-safe worker: read, hash and analyse one file."""
-    source = Path(path).read_text(encoding="utf-8")
-    facts, diagnostics = _analyze_source(source, path)
-    return path, source_digest(source), facts, diagnostics
+                yield diagnostic
 
 
 def check_source(
@@ -157,28 +108,16 @@ def check_source(
 ) -> list[Diagnostic]:
     """Check one source string as though it lived at ``path``.
 
-    ``path`` drives rule scoping (tests are exempt from most rules,
-    ``RPL-C002`` only watches ``repro/power``+``repro/timing``, ...), so
-    fixtures can probe any scope by choosing a virtual path.  Per-file
-    rules only — the whole-program rules need a :class:`Project`; see
-    :func:`check_project_sources`.
+    ``path`` drives rule scoping (tests are exempt, ``RPL-A001`` only
+    watches the ``repro`` package, ...), so fixtures can probe any scope
+    by choosing a virtual path.  Per-file rules only — the whole-program
+    rule needs a :class:`Project`; see :func:`check_project_sources`.
     """
-    try:
-        module = ModuleInfo(source, path)
-    except SyntaxError as error:
-        return [Diagnostic(path=path.replace("\\", "/"),
-                           line=error.lineno or 1,
-                           col=(error.offset or 1),
-                           rule=_SYNTAX_RULE,
-                           message=f"syntax error: {error.msg}")]
-    diagnostics: list[Diagnostic] = []
-    for rule in _selected_rules(select, ignore):
-        if not rule.applies_to(module.path):
-            continue
-        for diagnostic in rule.check(module):
-            if not module.is_suppressed(diagnostic.rule, diagnostic.line):
-                diagnostics.append(diagnostic)
-    return sorted(diagnostics)
+    ids = _selected_ids(select, ignore)
+    parsed = _parse(source, path)
+    if isinstance(parsed, Diagnostic):
+        return [parsed] if parsed.rule in ids else []
+    return sorted(_check_module(parsed, ids))
 
 
 def check_project_sources(modules: Sequence[tuple[str, str]],
@@ -186,20 +125,12 @@ def check_project_sources(modules: Sequence[tuple[str, str]],
                           select: Iterable[str] | None = None,
                           ignore: Iterable[str] | None = None
                           ) -> list[Diagnostic]:
-    """Whole-program rules over ``(path, source)`` fixtures."""
-    facts = []
-    for path, source in modules:
-        try:
-            facts.append(extract_facts(ModuleInfo(source, path)))
-        except SyntaxError:
-            continue
-    return _filter(run_project_rules(Project(facts)), select, ignore)
-
-
-def check_file(path: str | Path, **kwargs: object) -> list[Diagnostic]:
-    path = Path(path)
-    return check_source(path.read_text(encoding="utf-8"),
-                        path.as_posix(), **kwargs)  # type: ignore[arg-type]
+    """The whole-program rule over ``(path, source)`` fixtures."""
+    ids = _selected_ids(select, ignore)
+    parsed = [_parse(source, path) for path, source in modules]
+    return run_project_rules(
+        Project(extract_facts(module) for module in parsed
+                if isinstance(module, ModuleInfo)), ids)
 
 
 def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
@@ -216,140 +147,29 @@ def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
             raise FileNotFoundError(f"not a python file or directory: {entry}")
 
 
-# ---------------------------------------------------------------------------
-# whole runs
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AnalysisReport:
-    """Everything one engine run produced."""
-
-    diagnostics: list[Diagnostic]
-    files_checked: int
-    modules_analyzed: int  # cache misses actually (re)analysed
-    cache_hits: int
-    duration_s: float
-    baselined: int = 0
-    per_file: dict[str, list[Diagnostic]] = field(default_factory=dict)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.modules_analyzed
-        return self.cache_hits / total if total else 0.0
-
-
-def analyze_paths(paths: Sequence[str | Path],
-                  *,
-                  select: Iterable[str] | None = None,
-                  ignore: Iterable[str] | None = None,
-                  jobs: int = 1,
-                  cache_dir: str | Path | None = None,
-                  baseline: dict[str, int] | None = None) -> AnalysisReport:
-    """Run the full engine (per-file + whole-program) over ``paths``."""
-    started = time.monotonic()
-    _validate_rule_ids(select)
-    _validate_rule_ids(ignore)
-    files = [path.as_posix() for path in iter_python_files(paths)]
-    cache = LintCache(cache_dir) if cache_dir is not None else None
-    if cache is not None:
-        cache.load()
-
-    facts_by_path: dict[str, ModuleFacts | None] = {}
-    per_file: dict[str, list[Diagnostic]] = {}
-    misses: list[str] = []
-    for path in files:
-        digest = source_digest(Path(path).read_text(encoding="utf-8"))
-        cached = cache.lookup(path, digest) if cache is not None else None
-        if cached is not None:
-            facts_by_path[path], per_file[path] = cached
-        else:
-            misses.append(path)
-
-    if len(misses) > 1 and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_analyze_file_task, misses,
-                                    chunksize=8))
-    else:
-        results = [_analyze_file_task(path) for path in misses]
-    for path, digest, facts, diagnostics in results:
-        facts_by_path[path] = facts
-        per_file[path] = diagnostics
-        if cache is not None:
-            cache.store(path, digest, facts, diagnostics)
-    if cache is not None:
-        cache.prune(set(files))
-        cache.save()
-
-    project = Project(facts for facts in facts_by_path.values()
-                      if facts is not None)
-    project_diagnostics = run_project_rules(project)
-
-    combined: list[Diagnostic] = [diagnostic
-                                  for diagnostics in per_file.values()
-                                  for diagnostic in diagnostics]
-    combined.extend(project_diagnostics)
-    filtered = _filter(combined, select, ignore)
-
-    baselined = 0
-    if baseline:
-        budget = dict(baseline)
-        kept = []
-        for diagnostic in filtered:
-            fingerprint = diagnostic.fingerprint()
-            if budget.get(fingerprint, 0) > 0:
-                budget[fingerprint] -= 1
-                baselined += 1
-            else:
-                kept.append(diagnostic)
-        filtered = kept
-
-    hits = cache.hits if cache is not None else 0
-    return AnalysisReport(
-        diagnostics=filtered,
-        files_checked=len(files),
-        modules_analyzed=len(misses),
-        cache_hits=hits,
-        duration_s=time.monotonic() - started,
-        baselined=baselined,
-        per_file=per_file,
-    )
-
-
 def check_paths(paths: Sequence[str | Path],
-                **kwargs: object) -> tuple[list[Diagnostic], int]:
-    """Check every file under ``paths``; returns (diagnostics, file count).
+                *,
+                select: Iterable[str] | None = None,
+                ignore: Iterable[str] | None = None
+                ) -> tuple[list[Diagnostic], int]:
+    """Every rule over every file under ``paths``.
 
-    Back-compat wrapper over :func:`analyze_paths` (no cache, serial);
-    includes the whole-program rules.
+    Returns the sorted findings and the number of files checked.
     """
-    report = analyze_paths(paths, **kwargs)  # type: ignore[arg-type]
-    return report.diagnostics, report.files_checked
-
-
-# ---------------------------------------------------------------------------
-# baseline files
-# ---------------------------------------------------------------------------
-
-
-def _load_baseline(path: str) -> dict[str, int]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict) or raw.get("version") != _BASELINE_VERSION \
-            or not isinstance(raw.get("fingerprints"), dict):
-        raise ValueError(f"not a reprolint baseline file: {path}")
-    return {str(key): int(value)
-            for key, value in raw["fingerprints"].items()}
-
-
-def _write_baseline(path: str, diagnostics: list[Diagnostic]) -> int:
-    fingerprints: dict[str, int] = {}
-    for diagnostic in diagnostics:
-        fingerprint = diagnostic.fingerprint()
-        fingerprints[fingerprint] = fingerprints.get(fingerprint, 0) + 1
-    payload = {"version": _BASELINE_VERSION, "fingerprints": fingerprints}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True)
-                          + "\n", encoding="utf-8")
-    return len(diagnostics)
+    ids = _selected_ids(select, ignore)
+    files = list(iter_python_files(paths))
+    diagnostics: list[Diagnostic] = []
+    facts = []
+    for path in files:
+        parsed = _parse(path.read_text(encoding="utf-8"), path.as_posix())
+        if isinstance(parsed, Diagnostic):
+            if parsed.rule in ids:
+                diagnostics.append(parsed)
+            continue
+        diagnostics.extend(_check_module(parsed, ids))
+        facts.append(extract_facts(parsed))
+    diagnostics.extend(run_project_rules(Project(facts), ids))
+    return sorted(diagnostics), len(files)
 
 
 # ---------------------------------------------------------------------------
@@ -369,38 +189,12 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _rule_catalogue() -> list[tuple[str, str, str]]:
-    return ([(rule.id, rule.name, rule.summary) for rule in ALL_RULES]
-            + [(rule.id, rule.name, rule.summary)
-               for rule in INTERPROC_RULES])
-
-
-def _run_fixes(report: AnalysisReport) -> int:
-    """Apply autofixes for the current findings; returns files changed."""
-    by_path: dict[str, list[Diagnostic]] = {}
-    for diagnostic in report.diagnostics:
-        by_path.setdefault(diagnostic.path, []).append(diagnostic)
-    changed = 0
-    for path, diagnostics in sorted(by_path.items()):
-        target = Path(path)
-        if not target.exists():
-            continue
-        source = target.read_text(encoding="utf-8")
-        fixed, count = apply_fixes(source, path, diagnostics)
-        if count and fixed != source:
-            target.write_text(fixed, encoding="utf-8")
-            changed += 1
-            print(f"reprolint: fixed {count} finding(s) in {path}",
-                  file=sys.stderr)
-    return changed
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="reprolint: determinism / pool-safety / cache-hygiene "
-                    "/ numeric-safety invariant checker with whole-program "
-                    "call-graph rules",
+        description="reprolint: seeded randomness, picklable pool "
+                    "callables and no blocking in async code, checked per "
+                    "file and over the call graph",
         epilog="Suppress a documented false positive with "
                "'# reprolint: disable=RPL-X000' on the offending line, or "
                "'# reprolint: disable-file=RPL-X000' anywhere in the file.",
@@ -414,88 +208,23 @@ def main(argv: Sequence[str] | None = None) -> int:
                         metavar="RULE", help="skip these rule IDs")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="analyse files across N worker processes")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        metavar="DIR",
-                        help="incremental cache location "
-                             f"(default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental cache")
-    parser.add_argument("--format", choices=("text", "sarif"),
-                        default="text", help="output format")
-    parser.add_argument("--output", default=None, metavar="FILE",
-                        help="write the report here instead of stdout")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="suppress findings recorded in this baseline")
-    parser.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="record current findings as the baseline "
-                             "and exit 0")
-    parser.add_argument("--fix", action="store_true",
-                        help="apply safe autofixes, then re-check")
-    parser.add_argument("--stats", action="store_true",
-                        help="print cache/parallelism statistics")
     args = parser.parse_args(argv)
 
     if args.list_rules:
         print(_list_rules())
         return 0
 
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = _load_baseline(args.baseline)
-        except (OSError, ValueError) as error:
-            print(f"reprolint: {error}", file=sys.stderr)
-            return 2
-
-    cache_dir = None if args.no_cache else args.cache_dir
-    run = dict(select=args.select, ignore=args.ignore, jobs=args.jobs,
-               cache_dir=cache_dir, baseline=baseline)
     try:
-        report = analyze_paths(args.paths, **run)
-        if args.fix and report.diagnostics:
-            if _run_fixes(report):
-                report = analyze_paths(args.paths, **run)
-    except UnknownRuleError as error:
-        print(f"reprolint: {error}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as error:
+        diagnostics, checked = check_paths(args.paths, select=args.select,
+                                           ignore=args.ignore)
+    except (UnknownRuleError, FileNotFoundError) as error:
         print(f"reprolint: {error}", file=sys.stderr)
         return 2
 
-    if args.write_baseline is not None:
-        recorded = _write_baseline(args.write_baseline, report.diagnostics)
-        print(f"reprolint: baseline of {recorded} finding(s) written to "
-              f"{args.write_baseline}", file=sys.stderr)
-        return 0
-
-    if args.format == "sarif":
-        rendered = render_sarif(report.diagnostics, _rule_catalogue())
-    else:
-        rendered = "\n".join(diagnostic.render()
-                             for diagnostic in report.diagnostics)
-    if args.output is not None:
-        Path(args.output).write_text(rendered + ("\n" if rendered else ""),
-                                     encoding="utf-8")
-    elif rendered:
-        print(rendered)
-
-    if args.stats:
-        print(f"reprolint: {report.files_checked} file(s), "
-              f"{report.modules_analyzed} analysed, "
-              f"{report.cache_hits} cache hit(s) "
-              f"({report.cache_hit_rate:.0%}), "
-              f"{report.baselined} baselined, "
-              f"jobs={args.jobs}, {report.duration_s:.2f}s",
-              file=sys.stderr)
-
-    if report.diagnostics:
-        suffix = (f" ({report.baselined} baselined)"
-                  if report.baselined else "")
-        print(f"reprolint: {len(report.diagnostics)} finding(s) in "
-              f"{report.files_checked} file(s){suffix}", file=sys.stderr)
+    if diagnostics:
+        print("\n".join(diagnostic.render() for diagnostic in diagnostics))
+        print(f"reprolint: {len(diagnostics)} finding(s) in {checked} "
+              "file(s)", file=sys.stderr)
         return 1
-    print(f"reprolint: clean ({report.files_checked} file(s) checked)",
-          file=sys.stderr)
+    print(f"reprolint: clean ({checked} file(s) checked)", file=sys.stderr)
     return 0

@@ -1,29 +1,14 @@
-"""Interprocedural rules over the whole-program :class:`Project`.
+"""The whole-program rule over the :class:`Project` call graph.
 
 Per-file rules (:mod:`repro.analysis.rules`) see one AST at a time;
-the rules here see the call graph, so they catch the hazards that hide
-one or more frames below the offending function:
+**RPL-A002** sees the call graph, so it catches a blocking call
+*transitively* reachable from an ``async def`` through ordinary sync
+calls (depth ≥ 1; depth 0 is RPL-A001's).  The diagnostic prints the
+full call chain.
 
-* **RPL-A002** — a blocking call *transitively* reachable from an
-  ``async def`` through ordinary sync calls (depth ≥ 1; depth 0 is
-  RPL-A001's).  The diagnostic prints the full call chain.
-* **RPL-D005** — seed-provenance taint: a path from a public
-  serving/DSE/pipeline entry point to raw randomness (global
-  ``random.*``/legacy ``numpy.random.*`` state, or a generator seeded
-  from a hardcoded constant) that never routes through the
-  ``seeded_rng``/``stable_hash`` plumbing.
-* **RPL-P003** — an object handed to ``ProcessPoolExecutor``/
-  ``PhaseRunner`` whose inferred type carries unpicklable state
-  (locks, sockets, open files, asyncio primitives), including state
-  inherited from bases or held one composition level down.
-* **RPL-C003** — a ``DataStore.put``/``get_or_compute`` key whose
-  provenance does not trace back to ``versioned_key`` — through local
-  assignments, helper return values, *and* arguments at caller sites
-  when the key flows in through a parameter.
-
-Every rule only ever traverses *resolved* call edges: an unknown or
-external edge ends the walk, so imprecision in the call graph makes
-these rules quieter, never noisier.
+The rule only ever traverses *resolved* call edges: an unknown or
+external edge ends the walk, so imprecision in the call graph makes it
+quieter, never noisier.
 """
 
 from __future__ import annotations
@@ -32,35 +17,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.project import (
-    UNPICKLABLE_CTORS,
-    Edge,
-    FnKey,
-    FunctionFacts,
-    Project,
-    is_package_path,
-    short_fn,
-)
+from repro.analysis.project import FnKey, Project, is_package_path, short_fn
 
-__all__ = [
-    "ProjectRule",
-    "AsyncTransitiveBlockingRule",
-    "SeedProvenanceRule",
-    "UnpicklableSubmissionRule",
-    "KeyProvenanceRule",
-    "INTERPROC_RULES",
-    "run_project_rules",
-]
+__all__ = ["ProjectRule", "INTERPROC_RULES", "run_project_rules"]
 
 _MAX_DEPTH = 12  # call chains deeper than this degrade to silence
-
-#: Entry-point modules for RPL-D005: code on the request/sweep path
-#: whose results are gated bit-identical across runs.
-_ENTRY_PREFIXES = ("repro.serving.", "repro.dse.")
-_ENTRY_MODULES = frozenset({
-    "repro.serving", "repro.dse",
-    "repro.experiments.pipeline", "repro.experiments.sweeps",
-})
 
 
 @dataclass(frozen=True)
@@ -75,20 +36,6 @@ class ProjectRule:
 
 def _chain(keys: list[FnKey]) -> str:
     return " -> ".join(short_fn(key) for key in keys)
-
-
-def _emit(project: Project, rule_id: str, path: str, line: int, col: int,
-          message: str) -> Diagnostic | None:
-    facts = project.facts_for_path(path)
-    if facts is not None and facts.is_suppressed(rule_id, line):
-        return None
-    return Diagnostic(path=path, line=line, col=col, rule=rule_id,
-                      message=message)
-
-
-# ---------------------------------------------------------------------------
-# RPL-A002: transitively reachable blocking calls
-# ---------------------------------------------------------------------------
 
 
 def _first_blocking_chain(project: Project, start: FnKey,
@@ -109,9 +56,9 @@ def _first_blocking_chain(project: Project, start: FnKey,
         fn = project.function(key)
         if fn is None:
             continue
-        module = project.module_of(key)
+        suppressions = project.module_of(key).suppressions
         for line, _col, name in fn.blocking:
-            if not module.is_suppressed("RPL-A002", line):
+            if not suppressions.covers("RPL-A002", line):
                 return chain, name
         for edge in project.edges(key):
             if not edge.resolved or edge.offloaded:
@@ -147,216 +94,17 @@ def check_async_transitive_blocking(project: Project
                 continue
             chain, blocking = found
             reported.add(callee)
-            diagnostic = _emit(
-                project, "RPL-A002", module.path, edge.line, edge.col,
-                f"async {short_fn(key)} reaches blocking {blocking}() "
-                f"via {_chain([key] + chain)}; the event loop stalls for "
-                "every in-flight request — offload with asyncio.to_thread "
-                "or make the helper async")
-            if diagnostic is not None:
-                yield diagnostic
-
-
-# ---------------------------------------------------------------------------
-# RPL-D005: seed-provenance taint from entry points
-# ---------------------------------------------------------------------------
-
-
-def _is_entry_point(project: Project, key: FnKey,
-                    fn: FunctionFacts) -> bool:
-    module = key[0]
-    if not (module in _ENTRY_MODULES
-            or any(module.startswith(prefix)
-                   for prefix in _ENTRY_PREFIXES)):
-        return False
-    return fn.is_public and is_package_path(project.module_of(key).path)
-
-
-def check_seed_provenance(project: Project) -> Iterator[Diagnostic]:
-    # Shortest entry-point chain per raw-randomness site: BFS from all
-    # entry points at once over resolved, non-offloaded edges.
-    queue: list[tuple[FnKey, list[FnKey]]] = []
-    best: dict[FnKey, list[FnKey]] = {}
-    for key, fn in project.functions():
-        if _is_entry_point(project, key, fn):
-            queue.append((key, [key]))
-            best[key] = [key]
-    while queue:
-        key, chain = queue.pop(0)
-        if len(chain) > _MAX_DEPTH:
-            continue
-        for edge in project.edges(key):
-            if not edge.resolved or edge.offloaded:
+            if module.suppressions.covers("RPL-A002", edge.line):
                 continue
-            callee: FnKey = (edge.target[1], edge.target[2])
-            if callee in best:
-                continue
-            best[callee] = chain + [callee]
-            queue.append((callee, chain + [callee]))
-    for key in sorted(best):
-        fn = project.function(key)
-        if fn is None or not fn.rng:
-            continue
-        module = project.module_of(key)
-        if key[0] == "repro.util" or not is_package_path(module.path):
-            continue  # the blessed helpers themselves live in repro.util
-        for line, col, description in fn.rng:
-            diagnostic = _emit(
-                project, "RPL-D005", module.path, line, col,
-                f"{description}; reached from entry point via "
-                f"{_chain(best[key])} — derive the stream with "
-                "seeded_rng(...) or thread a Generator parameter through")
-            if diagnostic is not None:
-                yield diagnostic
+            yield Diagnostic(
+                path=module.path, line=edge.line, col=edge.col,
+                rule="RPL-A002",
+                message=f"async {short_fn(key)} reaches blocking "
+                        f"{blocking}() via {_chain([key] + chain)}; the "
+                        "event loop stalls for every in-flight request — "
+                        "offload with asyncio.to_thread or make the helper "
+                        "async")
 
-
-# ---------------------------------------------------------------------------
-# RPL-P003: unpicklable state crossing pool boundaries
-# ---------------------------------------------------------------------------
-
-
-def check_unpicklable_submissions(project: Project) -> Iterator[Diagnostic]:
-    for key, fn in project.functions():
-        module = project.module_of(key)
-        if not is_package_path(module.path):
-            continue
-        for line, col, context, type_name in fn.submissions:
-            state = project.unpicklable_state(type_name)
-            if state is None:
-                continue
-            attr, ctor, _ = state
-            reason = UNPICKLABLE_CTORS.get(ctor, ctor)
-            diagnostic = _emit(
-                project, "RPL-P003", module.path, line, col,
-                f"{type_name.rsplit('.', 1)[-1]} instance crosses a "
-                f"process-pool boundary ({context}) but holds {reason} "
-                f"in attribute '{attr}' — pickling will fail or silently "
-                "clone dead state; pass plain data and rebuild in the "
-                "worker")
-            if diagnostic is not None:
-                yield diagnostic
-
-
-# ---------------------------------------------------------------------------
-# RPL-C003: store keys that never trace to versioned_key
-# ---------------------------------------------------------------------------
-
-
-def _callers_of(project: Project) -> dict[FnKey, list[tuple[FnKey, Edge]]]:
-    callers: dict[FnKey, list[tuple[FnKey, Edge]]] = {}
-    for key, _fn in project.functions():
-        for edge in project.edges(key):
-            if edge.resolved:
-                callers.setdefault((edge.target[1], edge.target[2]),
-                                   []).append((key, edge))
-    return callers
-
-
-def _param_provenance(project: Project,
-                      callers: dict[FnKey, list[tuple[FnKey, Edge]]],
-                      key: FnKey, param: str,
-                      depth: int = 0) -> tuple[str, FnKey | None]:
-    """Worst-case provenance of values callers pass for ``param``.
-
-    Returns ``("unversioned", caller)`` if some caller demonstrably
-    passes an unversioned built string, ``("versioned", None)`` if every
-    known caller passes a versioned key, else ``("opaque", None)``.
-    """
-    fn = project.function(key)
-    if fn is None or depth > 3:
-        return ("opaque", None)
-    params = list(fn.params)
-    if fn.class_name is not None and params and params[0] in ("self", "cls"):
-        params = params[1:]
-    if param not in params:
-        return ("opaque", None)
-    index = params.index(param)
-    sites = callers.get(key, [])
-    if not sites:
-        return ("opaque", None)
-    verdicts: list[str] = []
-    for caller, edge in sites:
-        summary = None
-        for kw_name, kw_summary in edge.kwargs:
-            if kw_name == param:
-                summary = kw_summary
-        if summary is None and index < len(edge.args):
-            summary = edge.args[index]
-        if summary is None:
-            verdicts.append("opaque")
-            continue
-        verdict = _resolve_summary(project, callers, caller, summary,
-                                   depth + 1)
-        if verdict[0] == "unversioned":
-            return ("unversioned", caller)
-        verdicts.append(verdict[0])
-    if verdicts and all(v == "versioned" for v in verdicts):
-        return ("versioned", None)
-    return ("opaque", None)
-
-
-def _resolve_summary(project: Project,
-                     callers: dict[FnKey, list[tuple[FnKey, Edge]]],
-                     key: FnKey, summary: str,
-                     depth: int = 0) -> tuple[str, FnKey | None]:
-    """Reduce a provenance summary to versioned/unversioned/opaque."""
-    if summary in ("versioned", "unversioned"):
-        return (summary, key if summary == "unversioned" else None)
-    if summary.startswith("param:"):
-        return _param_provenance(project, callers, key, summary[6:], depth)
-    if summary.startswith("call:"):
-        target = summary[5:]
-        if ".?." in target:
-            # ``self._helper()`` — resolve against the enclosing class.
-            fn = project.function(key)
-            if fn is not None and fn.class_name is not None:
-                method = target.rsplit(".", 1)[-1]
-                resolved = project.resolve_method(
-                    f"{key[0]}.{fn.class_name}", method)
-                if resolved is not None:
-                    verdict = project.returns_versioned(resolved)
-                    return ({"yes": "versioned", "no": "unversioned"}
-                            .get(verdict, "opaque"),
-                            resolved if verdict == "no" else None)
-            return ("opaque", None)
-        resolved_sym = project.resolve_symbol(target)
-        if resolved_sym[0] == "fn":
-            fn_key: FnKey = (resolved_sym[1], resolved_sym[2])
-            verdict = project.returns_versioned(fn_key)
-            return ({"yes": "versioned", "no": "unversioned"}
-                    .get(verdict, "opaque"),
-                    fn_key if verdict == "no" else None)
-        return ("opaque", None)
-    return ("opaque", None)
-
-
-def check_key_provenance(project: Project) -> Iterator[Diagnostic]:
-    callers = _callers_of(project)
-    for key, fn in project.functions():
-        module = project.module_of(key)
-        if not is_package_path(module.path):
-            continue
-        if module.path.endswith("repro/experiments/datastore.py"):
-            continue  # the store's own internals compose keys freely
-        for line, col, method, summary in fn.store_writes:
-            verdict, witness = _resolve_summary(project, callers, key,
-                                                summary)
-            if verdict != "unversioned":
-                continue
-            detail = (f" (key built in {short_fn(witness)})"
-                      if witness is not None and witness != key else "")
-            diagnostic = _emit(
-                project, "RPL-C003", module.path, line, col,
-                f"DataStore.{method}() key does not provenance-trace to "
-                f"versioned_key(){detail}; stale entries survive schema "
-                "bumps — build the key with store.versioned_key(...)")
-            if diagnostic is not None:
-                yield diagnostic
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
 
 INTERPROC_RULES: tuple[ProjectRule, ...] = (
     ProjectRule(
@@ -366,38 +114,7 @@ INTERPROC_RULES: tuple[ProjectRule, ...] = (
                 "through sync helpers (depth >= 1); prints the chain.",
         check=check_async_transitive_blocking,
     ),
-    ProjectRule(
-        id="RPL-D005",
-        name="seed-provenance-taint",
-        summary="Raw randomness (global state or hardcoded seed) reachable "
-                "from a serving/DSE/pipeline entry point without flowing "
-                "through seeded_rng-derived plumbing.",
-        check=check_seed_provenance,
-    ),
-    ProjectRule(
-        id="RPL-P003",
-        name="unpicklable-pool-payload",
-        summary="Object submitted to ProcessPoolExecutor/PhaseRunner whose "
-                "inferred type holds unpicklable state (locks, sockets, "
-                "open files, asyncio primitives).",
-        check=check_unpicklable_submissions,
-    ),
-    ProjectRule(
-        id="RPL-C003",
-        name="key-provenance",
-        summary="DataStore.put/get_or_compute key that does not "
-                "provenance-trace back to versioned_key(), including keys "
-                "flowing through helpers and parameters.",
-        check=check_key_provenance,
-    ),
 )
-
-
-def project_rule_by_id(rule_id: str) -> ProjectRule:
-    for rule in INTERPROC_RULES:
-        if rule.id == rule_id.upper():
-            return rule
-    raise KeyError(rule_id)
 
 
 def run_project_rules(project: Project,
@@ -406,7 +123,6 @@ def run_project_rules(project: Project,
     """Run the selected whole-program rules and sort the findings."""
     diagnostics: list[Diagnostic] = []
     for rule in INTERPROC_RULES:
-        if rule_ids is not None and rule.id not in rule_ids:
-            continue
-        diagnostics.extend(rule.check(project))
+        if rule_ids is None or rule.id in rule_ids:
+            diagnostics.extend(rule.check(project))
     return sorted(diagnostics)

@@ -14,9 +14,10 @@ import ast
 import io
 import re
 import tokenize
+from dataclasses import dataclass
 from functools import cached_property
 
-__all__ = ["ModuleInfo", "dotted_name", "is_test_path"]
+__all__ = ["ModuleInfo", "Suppressions", "dotted_name", "is_test_path"]
 
 _SUPPRESSION = re.compile(
     r"#\s*reprolint:\s*(disable|disable-file)\s*=\s*"
@@ -46,6 +47,19 @@ def is_test_path(path: str) -> bool:
         or name.endswith("_test.py")
         or name == "conftest.py"
     )
+
+
+@dataclass(frozen=True)
+class Suppressions:
+    """The ``# reprolint: disable`` comments of one file."""
+
+    per_line: dict[int, frozenset[str]]
+    whole_file: frozenset[str]
+
+    def covers(self, rule_id: str, line: int) -> bool:
+        rule_id = rule_id.upper()
+        at_line = self.per_line.get(line, frozenset())
+        return bool({rule_id, "ALL"} & (self.whole_file | at_line))
 
 
 class ModuleInfo:
@@ -163,7 +177,7 @@ class ModuleInfo:
     # -- suppressions ----------------------------------------------------------
 
     @cached_property
-    def _suppressions(self) -> tuple[dict[int, frozenset[str]], frozenset[str]]:
+    def suppressions(self) -> Suppressions:
         per_line: dict[int, set[str]] = {}
         whole_file: set[str] = set()
         try:
@@ -185,15 +199,11 @@ class ModuleInfo:
                     per_line.setdefault(token.start[0], set()).update(rules)
         except tokenize.TokenError:
             pass  # partial token stream: honour what was parsed
-        return (
+        return Suppressions(
             {line: frozenset(rules) for line, rules in per_line.items()},
             frozenset(whole_file),
         )
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
-        per_line, whole_file = self._suppressions
-        rule_id = rule_id.upper()
-        if rule_id in whole_file or "ALL" in whole_file:
-            return True
-        at_line = per_line.get(line, frozenset())
-        return rule_id in at_line or "ALL" in at_line
+        return self.suppressions.covers(rule_id, line)
+

@@ -1,19 +1,15 @@
-"""The reprolint rule families.
+"""The per-file reprolint rules.
 
-Five families, mirroring the repository's load-bearing invariants:
+Three families, one per invariant the rules guard:
 
-* ``RPL-D`` **determinism** — unseeded randomness, wall-clock reads in
-  result paths, unordered set iteration feeding ordered output;
+* ``RPL-D`` **determinism** — unseeded randomness and generators seeded
+  from entropy or held in module state;
 * ``RPL-P`` **pool-safety** — unpicklable callables crossing the
-  ``ProcessPoolExecutor`` boundary, module-level state mutated in
-  worker-executed functions;
-* ``RPL-C`` **cache-hygiene** — ``DataStore`` keys missing the schema
-  version, Cacti-style math outside the blessed implementation;
-* ``RPL-N`` **numeric-safety** — bare float equality, silent
-  ``float``→``int`` truncation;
+  ``ProcessPoolExecutor`` boundary;
 * ``RPL-A`` **async-safety** — synchronous blocking calls inside
   ``async def`` bodies, which stall the serving event loop for every
-  connection at once.
+  connection at once (``RPL-A002`` in :mod:`repro.analysis.interproc`
+  follows the same calls through sync helpers).
 
 Every rule is a small AST pass over a :class:`~repro.analysis.module.
 ModuleInfo`; rules are registered in :data:`ALL_RULES` and documented
@@ -23,11 +19,10 @@ for humans in ``docs/reprolint.md``.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.module import ModuleInfo, dotted_name, is_test_path
+from repro.analysis.module import ModuleInfo, is_test_path
 
 __all__ = ["Rule", "ALL_RULES", "rule_by_id"]
 
@@ -132,107 +127,6 @@ class UnseededRandomRule(Rule):
                         "instance")
 
 
-#: Call targets that read the wall clock or OS entropy.  Monotonic
-#: duration sources (``time.monotonic``, ``time.perf_counter``) are
-#: deliberately allowed: measuring how long work took is fine, keying
-#: *results* off the calendar is not.
-_WALL_CLOCK = frozenset({
-    "time.time", "time.time_ns", "os.urandom", "uuid.uuid1", "uuid.uuid4",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-})
-
-
-class WallClockRule(Rule):
-    id = "RPL-D002"
-    name = "wall-clock-in-results"
-    summary = ("wall-clock / OS-entropy reads inside repro result paths "
-               "make reruns diverge")
-
-    def applies_to(self, path: str) -> bool:
-        # Scripts are drivers and may time themselves; the library that
-        # produces results may not.
-        return _in_repro_package(path) and not is_test_path(path)
-
-    def check(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for call in _calls(module):
-            full = module.resolve(call.func)
-            if full in _WALL_CLOCK:
-                yield self.diagnostic(
-                    module, call,
-                    f"{full}() in a result path is irreproducible; derive "
-                    "values from inputs (or time.monotonic for durations)")
-
-
-#: Calls whose result ordering is insertion-/value-order agnostic, so
-#: feeding them a set is harmless.
-_ORDER_AGNOSTIC_CONSUMERS = frozenset({
-    "sorted", "set", "frozenset", "sum", "min", "max", "any", "all", "len",
-})
-
-_SET_DERIVING_METHODS = frozenset({
-    "union", "difference", "intersection", "symmetric_difference",
-})
-
-
-def _is_setish(node: ast.AST, module: ModuleInfo) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        if isinstance(node.func, ast.Name) and node.func.id in ("set",
-                                                                "frozenset"):
-            return True
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr in _SET_DERIVING_METHODS
-                and _is_setish(node.func.value, module)):
-            return True
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitOr,
-                                                            ast.BitAnd,
-                                                            ast.Sub)):
-        return (_is_setish(node.left, module)
-                or _is_setish(node.right, module))
-    return False
-
-
-class SetIterationRule(Rule):
-    id = "RPL-D003"
-    name = "unordered-set-iteration"
-    summary = ("iterating a set into ordered output depends on hash "
-               "seeding; sort first")
-
-    _MESSAGE = ("iteration order over a set is not reproducible across "
-                "processes; wrap in sorted(...) before feeding ordered "
-                "output")
-
-    def _consumed_unordered(self, node: ast.AST, module: ModuleInfo) -> bool:
-        """Whether ``node`` (a comprehension or call) feeds directly into
-        an order-agnostic consumer like ``sorted``."""
-        parent = module.parents.get(node)
-        return (isinstance(parent, ast.Call)
-                and isinstance(parent.func, ast.Name)
-                and parent.func.id in _ORDER_AGNOSTIC_CONSUMERS
-                and parent.args and parent.args[0] is node)
-
-    def check(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.For):
-                if _is_setish(node.iter, module):
-                    yield self.diagnostic(module, node.iter, self._MESSAGE)
-            elif isinstance(node, (ast.ListComp, ast.GeneratorExp,
-                                   ast.DictComp)):
-                # SetComp output is itself unordered: no order to corrupt.
-                if any(_is_setish(gen.iter, module)
-                       for gen in node.generators):
-                    if not self._consumed_unordered(node, module):
-                        yield self.diagnostic(module, node, self._MESSAGE)
-            elif (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Name)
-                  and node.func.id in ("list", "tuple", "enumerate",
-                                       "reversed")
-                  and node.args and _is_setish(node.args[0], module)):
-                yield self.diagnostic(module, node, self._MESSAGE)
-
-
 #: Call targets whose value is process/run-dependent: seeding a
 #: generator from any of these launders OS entropy through an
 #: "explicit" seed argument, which RPL-D001 cannot see.
@@ -327,10 +221,6 @@ class NondeterministicSeedRule(Rule):
 # ---------------------------------------------------------------------------
 
 
-def _uses_process_pool(module: ModuleInfo) -> bool:
-    return "ProcessPoolExecutor" in module.source
-
-
 class PoolCallableRule(Rule):
     id = "RPL-P001"
     name = "unpicklable-pool-callable"
@@ -338,7 +228,7 @@ class PoolCallableRule(Rule):
                "pool fail (or silently capture state) at pickle time")
 
     def check(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        if not _uses_process_pool(module):
+        if "ProcessPoolExecutor" not in module.source:
             return
         for call in _calls(module):
             if not (isinstance(call.func, ast.Attribute)
@@ -395,274 +285,6 @@ class PoolCallableRule(Rule):
         return False
 
 
-class WorkerGlobalMutationRule(Rule):
-    id = "RPL-P002"
-    name = "worker-global-mutation"
-    summary = ("rebinding module-level state inside functions of a "
-               "pool-using module diverges silently between workers")
-
-    def check(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        if not _uses_process_pool(module):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            declared: dict[str, ast.Global] = {}
-            for stmt in ast.walk(node):
-                if isinstance(stmt, ast.Global):
-                    for name in stmt.names:
-                        declared.setdefault(name, stmt)
-            if not declared:
-                continue
-            assigned = set()
-            for stmt in ast.walk(node):
-                targets: list[ast.expr] = []
-                if isinstance(stmt, ast.Assign):
-                    targets = list(stmt.targets)
-                elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-                    targets = [stmt.target]
-                for target in targets:
-                    for leaf in ast.walk(target):
-                        if isinstance(leaf, ast.Name):
-                            assigned.add(leaf.id)
-            for name in sorted(set(declared) & assigned):
-                yield self.diagnostic(
-                    module, declared[name],
-                    f"function {node.name!r} rebinds module-level "
-                    f"{name!r}; per-process state in pool workers is "
-                    "invisible to the parent and other workers")
-
-
-# ---------------------------------------------------------------------------
-# RPL-C: cache-hygiene
-# ---------------------------------------------------------------------------
-
-_STORE_WRITE_METHODS = frozenset({"put", "get_or_compute"})
-_BLESSED_KEY_BUILDERS = frozenset({"versioned_key"})
-_VERSION_TOKEN = re.compile(r"(schema_version|SCHEMA_VERSION)\b")
-
-
-class UnversionedKeyRule(Rule):
-    id = "RPL-C001"
-    name = "unversioned-datastore-key"
-    summary = ("DataStore keys built without the schema version survive "
-               "schema changes and serve stale shapes")
-
-    def applies_to(self, path: str) -> bool:
-        # The store itself defines the key vocabulary.
-        return (not is_test_path(path)
-                and not path.endswith("repro/experiments/datastore.py"))
-
-    def check(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        producers = self._key_producers(module)
-        # Contract half 1: every locally-defined ``*_key`` helper that
-        # builds a string must embed the schema version.  (Half 2, below,
-        # is that write sites may then trust any ``*_key`` call — the
-        # helper is checked in whichever module defines it.)
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.endswith("_key")
-                    and node.name not in _BLESSED_KEY_BUILDERS
-                    and node.name not in producers):
-                continue
-            if any(stmt.value is not None
-                   and self._builds_string(stmt.value)
-                   for stmt in ast.walk(node)
-                   if isinstance(stmt, ast.Return)):
-                yield self.diagnostic(
-                    module, node,
-                    f"key builder {node.name!r} does not embed the schema "
-                    "version; construct the key with "
-                    "DataStore.versioned_key(...)")
-        for call in _calls(module):
-            if not (isinstance(call.func, ast.Attribute)
-                    and call.func.attr in _STORE_WRITE_METHODS
-                    and len(call.args) >= 2):
-                continue
-            receiver = dotted_name(call.func.value) or ""
-            if "store" not in receiver.lower():
-                continue
-            key = call.args[0]
-            if self._key_ok(key, call, module, producers):
-                continue
-            yield self.diagnostic(
-                module, key,
-                f".{call.func.attr}() key omits the schema version; build "
-                "it with DataStore.versioned_key(...) so schema bumps "
-                "invalidate it")
-
-    # -- helpers ---------------------------------------------------------------
-
-    @staticmethod
-    def _builds_string(expr: ast.AST) -> bool:
-        """Whether ``expr`` is plausibly string construction."""
-        if isinstance(expr, (ast.JoinedStr, ast.FormattedValue)):
-            return True
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-            return True
-        if isinstance(expr, ast.BinOp) and isinstance(expr.op, (ast.Add,
-                                                                ast.Mod)):
-            return (UnversionedKeyRule._builds_string(expr.left)
-                    or UnversionedKeyRule._builds_string(expr.right))
-        if isinstance(expr, ast.Call) and isinstance(expr.func,
-                                                     ast.Attribute):
-            return expr.func.attr in ("join", "format")
-        return False
-
-    @staticmethod
-    def _expr_versioned(expr: ast.AST, producers: set[str]) -> bool:
-        """Whether ``expr`` demonstrably involves the schema version."""
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                callee = (node.func.attr if isinstance(node.func,
-                                                       ast.Attribute)
-                          else node.func.id if isinstance(node.func, ast.Name)
-                          else None)
-                if (callee is not None
-                        and (callee in _BLESSED_KEY_BUILDERS
-                             or callee in producers
-                             or callee.endswith("_key"))):
-                    return True
-            name = dotted_name(node) if isinstance(node, (ast.Name,
-                                                          ast.Attribute)) \
-                else None
-            if name and _VERSION_TOKEN.search(name):
-                return True
-        return False
-
-    def _key_producers(self, module: ModuleInfo) -> set[str]:
-        """Locally-defined functions whose returns are version-aware."""
-        producers: set[str] = set()
-        functions = [node for node in ast.walk(module.tree)
-                     if isinstance(node, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef))]
-        # Two passes so producers may chain one level deep.
-        for _ in range(2):
-            for function in functions:
-                if function.name in producers:
-                    continue
-                returns = [stmt for stmt in ast.walk(function)
-                           if isinstance(stmt, ast.Return)
-                           and stmt.value is not None]
-                if returns and all(
-                        self._expr_versioned(stmt.value, producers)
-                        for stmt in returns):
-                    producers.add(function.name)
-        return producers
-
-    def _key_ok(self, key: ast.AST, call: ast.Call, module: ModuleInfo,
-                producers: set[str]) -> bool:
-        if self._expr_versioned(key, producers):
-            return True
-        if isinstance(key, ast.Name):
-            enclosing = module.enclosing_function(call) or module.tree
-            for node in ast.walk(enclosing):
-                if (isinstance(node, ast.Assign)
-                        and any(isinstance(t, ast.Name) and t.id == key.id
-                                for t in node.targets)):
-                    if self._expr_versioned(node.value, producers):
-                        return True
-                elif (isinstance(node, ast.arg) and node.arg == key.id):
-                    # A parameter: the caller owns key construction.
-                    return True
-        return False
-
-
-class BlessedCactiRule(Rule):
-    id = "RPL-C002"
-    name = "cacti-math-outside-blessed-module"
-    summary = ("log2/Cacti-style cost math outside power/cacti.py breaks "
-               "scalar/batch bit-parity")
-
-    _SCOPE = re.compile(r"repro/(power|timing)/")
-
-    def applies_to(self, path: str) -> bool:
-        return (bool(self._SCOPE.search(path))
-                and not path.endswith("repro/power/cacti.py")
-                and not is_test_path(path))
-
-    def check(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for call in _calls(module):
-            full = module.resolve(call.func)
-            if full in ("math.log2", "numpy.log2"):
-                yield self.diagnostic(
-                    module, call,
-                    f"{full} in timing/power code duplicates the blessed "
-                    "Cacti math; route through CactiModel in "
-                    "repro/power/cacti.py (math.log2 and numpy.log2 "
-                    "differ by ulps, breaking scalar/batch bit-parity)")
-
-
-# ---------------------------------------------------------------------------
-# RPL-N: numeric-safety
-# ---------------------------------------------------------------------------
-
-
-def _is_floatish(node: ast.AST) -> bool:
-    if isinstance(node, ast.Constant) and isinstance(node.value, float):
-        return True
-    if isinstance(node, ast.UnaryOp):
-        return _is_floatish(node.operand)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-        return True
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "float"):
-        return True
-    return False
-
-
-class FloatEqualityRule(Rule):
-    id = "RPL-N001"
-    name = "bare-float-equality"
-    summary = ("== / != against float expressions is roundoff-fragile; "
-               "compare with math.isclose or a tolerance")
-
-    def check(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left, *node.comparators]
-            for i, op in enumerate(node.ops):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                if _is_floatish(operands[i]) or _is_floatish(operands[i + 1]):
-                    yield self.diagnostic(
-                        module, node,
-                        "bare float equality is roundoff-fragile; use "
-                        "math.isclose / an explicit tolerance (or suppress "
-                        "with a comment if the value is an exact sentinel)")
-                    break
-
-
-class FloatTruncationRule(Rule):
-    id = "RPL-N002"
-    name = "silent-float-truncation"
-    summary = ("int(x / y) truncates toward zero silently; make the "
-               "rounding explicit")
-
-    def check(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for call in _calls(module):
-            if not (isinstance(call.func, ast.Name)
-                    and call.func.id == "int" and len(call.args) == 1
-                    and not call.keywords):
-                continue
-            arg = call.args[0]
-            truncates = (
-                (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Div))
-                or (isinstance(arg, ast.BinOp)
-                    and isinstance(arg.op, ast.Mult)
-                    and (_is_floatish(arg.left) or _is_floatish(arg.right)))
-                or (isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, float))
-            )
-            if truncates:
-                yield self.diagnostic(
-                    module, call,
-                    "int() over a float expression truncates toward zero "
-                    "silently; use round()/math.floor()/math.ceil() (or "
-                    "// for integral division) to state the intent")
-
-
 # ---------------------------------------------------------------------------
 # RPL-A: async-safety
 # ---------------------------------------------------------------------------
@@ -715,15 +337,8 @@ class AsyncBlockingCallRule(Rule):
 
 ALL_RULES: tuple[Rule, ...] = (
     UnseededRandomRule(),
-    WallClockRule(),
-    SetIterationRule(),
     NondeterministicSeedRule(),
     PoolCallableRule(),
-    WorkerGlobalMutationRule(),
-    UnversionedKeyRule(),
-    BlessedCactiRule(),
-    FloatEqualityRule(),
-    FloatTruncationRule(),
     AsyncBlockingCallRule(),
 )
 

@@ -85,9 +85,10 @@ class DataStore:
 
         Keys built through this helper embed :attr:`schema_version`, so
         a schema bump makes every old key unreachable *by construction*
-        (in addition to the frame-level invalidation on read).  The
-        ``RPL-C001`` lint rule requires all keys written through
-        :meth:`put` / :meth:`get_or_compute` to come from here.
+        (in addition to the frame-level invalidation on read).
+        ``tests/test_experiments_pipeline.py::TestTrainingKeys`` checks
+        that every key a pipeline run writes through :meth:`put` /
+        :meth:`get_or_compute` comes from here.
         """
         return "/".join(str(part) for part in
                         (f"s{self.schema_version}", *parts))

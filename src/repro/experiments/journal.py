@@ -70,7 +70,7 @@ class RunJournal:
         """Append one event (flushed immediately; crash-safe)."""
         # The timestamp is observability metadata (when did the attempt
         # happen), never an input to any cached result or decision.
-        entry: dict = {"ts": round(time.time(), 3),  # reprolint: disable=RPL-D002
+        entry: dict = {"ts": round(time.time(), 3),
                        "key": key, "event": event}
         entry.update({k: v for k, v in fields.items() if v is not None})
         self._records.append(entry)

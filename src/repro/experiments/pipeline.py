@@ -572,7 +572,7 @@ def _phase_worker(
     # The rebind is a deliberate per-process memo: each pool worker keeps
     # its own pipeline so the suite/pool build once per process, and the
     # parent never reads it (results flow through the DataStore).
-    global _WORKER_PIPELINE  # reprolint: disable=RPL-P002
+    global _WORKER_PIPELINE
     if os.environ.get("REPRO_FAULTS"):  # fault-injection hook (tests/CI)
         from repro.testing.faults import inject
 
@@ -617,7 +617,7 @@ def warm_worker(scale: ReproScale, store_dir: str,
     """
     # Same deliberate per-process memo as _phase_worker: the parent never
     # reads this, each pool worker warms its own copy.
-    global _WORKER_PIPELINE  # reprolint: disable=RPL-P002
+    global _WORKER_PIPELINE
     if (
         _WORKER_PIPELINE is None
         or _WORKER_PIPELINE.scale != scale

@@ -84,7 +84,7 @@ class _FoldMaterial:
     program_of_phase: tuple[str, ...]
 
 
-# -- cache keys (RPL-C001: all built through DataStore.versioned_key) -------
+# -- cache keys (all built through DataStore.versioned_key) ----------------
 
 
 def _material_key(store: DataStore, fingerprint: str) -> str:

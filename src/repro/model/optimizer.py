@@ -117,7 +117,7 @@ def minimize_cg(
         # ``taken == 0.0`` compares against the exact literal sentinel
         # `_line_search` returns when no Armijo step was accepted — it is
         # never a computed value, so exact equality is the correct test.
-        if taken == 0.0:  # reprolint: disable=RPL-N001
+        if taken == 0.0:
             # Restart along steepest descent; if that also fails, stop.
             direction = -grad
             taken, new_value, new_grad, used = _line_search(
@@ -125,7 +125,7 @@ def minimize_cg(
                 initial_step=1.0 / max(1.0, grad_norm),
             )
             evals += used
-            if taken == 0.0:  # reprolint: disable=RPL-N001
+            if taken == 0.0:
                 break
         x = x + taken * direction
         if callback is not None:

@@ -14,11 +14,11 @@ no-op object, so instrumented hot loops run at uninstrumented speed
 (``tests/test_obs_overhead.py`` guards this).
 
 All timestamps come from the state's *clock*, ``time.perf_counter`` by
-default: a monotonic duration source (reprolint's RPL-D002 wall-clock
-rule stays clean — observability never feeds calendar time into result
-paths) whose epoch is shared across processes on the platforms we run
-on, so spans from a worker pool merge onto one timeline.  Tests inject a
-fake clock through :func:`configure` for deterministic records.
+default: a monotonic duration source (observability never feeds
+calendar time into result paths) whose epoch is shared across processes
+on the platforms we run on, so spans from a worker pool merge onto one
+timeline.  Tests inject a fake clock through :func:`configure` for
+deterministic records.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import atexit
 import os
 import threading
 # time.perf_counter is imported as a named callable so the default clock
-# is explicit and swappable; reprolint allows monotonic duration sources.
+# is explicit and swappable.
 from time import perf_counter as _default_clock
 from typing import Callable, Mapping
 

@@ -1,20 +1,17 @@
-"""Engine production features: cache, parallelism, baseline, SARIF, fix.
+"""Engine plumbing: rule selection, the catalogue, and a stateless run.
 
-The bit-identity contract is the load-bearing one: a warm (cached) run
-must produce exactly the findings a cold run produces, for any edit
-pattern, because CI trusts the incremental PR run.
+A run is one serial pass that keeps nothing between runs, so linting a
+tree must leave that tree (and the working directory) exactly as it
+found it.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import UnknownRuleError, analyze_paths, main
-from repro.analysis.cache import LintCache, engine_fingerprint
-from repro.analysis.fixes import apply_fixes
+from repro.analysis import UnknownRuleError, check_paths, main
 
 CLEAN = (
     '"""Clean module."""\n'
@@ -50,73 +47,8 @@ def tree(tmp_path: Path) -> Path:
 
 
 def run(tree: Path, **kwargs):
-    return analyze_paths([tree / "src"], **kwargs)
-
-
-class TestIncrementalCache:
-    def test_warm_run_bit_identical_and_cached(self, tree):
-        cache_dir = tree / ".reprolint-cache"
-        cold = run(tree, cache_dir=cache_dir)
-        warm = run(tree, cache_dir=cache_dir)
-        assert warm.diagnostics == cold.diagnostics
-        assert cold.cache_hits == 0
-        assert warm.cache_hits == warm.files_checked
-        assert warm.modules_analyzed == 0
-
-    def test_one_module_edit_reanalyzes_only_that_module(self, tree):
-        cache_dir = tree / ".reprolint-cache"
-        run(tree, cache_dir=cache_dir)
-        hot = tree / "src" / "repro" / "serving" / "hot.py"
-        hot.write_text(VIOLATING + "\n\ndef extra():\n    return 1\n")
-        warm = run(tree, cache_dir=cache_dir)
-        cold = run(tree)  # no cache
-        assert warm.modules_analyzed == 1
-        assert warm.cache_hits == warm.files_checked - 1
-        assert warm.diagnostics == cold.diagnostics
-
-    def test_fixing_the_bug_clears_the_cached_finding(self, tree):
-        cache_dir = tree / ".reprolint-cache"
-        assert run(tree, cache_dir=cache_dir).diagnostics
-        hot = tree / "src" / "repro" / "serving" / "hot.py"
-        hot.write_text(CLEAN)
-        assert run(tree, cache_dir=cache_dir).diagnostics == []
-
-    def test_engine_fingerprint_guards_the_manifest(self, tree):
-        cache_dir = tree / ".reprolint-cache"
-        run(tree, cache_dir=cache_dir)
-        manifest = cache_dir / "cache.json"
-        payload = json.loads(manifest.read_text())
-        payload["engine"] = "stale" * 8
-        manifest.write_text(json.dumps(payload))
-        warm = run(tree, cache_dir=cache_dir)
-        assert warm.cache_hits == 0  # cold-started, not trusted
-
-    def test_corrupt_manifest_is_discarded(self, tree):
-        cache_dir = tree / ".reprolint-cache"
-        cache_dir.mkdir()
-        (cache_dir / "cache.json").write_text("{not json")
-        report = run(tree, cache_dir=cache_dir)
-        assert report.diagnostics  # analysis still ran
-        assert report.cache_hits == 0
-
-    def test_deleted_file_pruned_from_manifest(self, tree):
-        cache_dir = tree / ".reprolint-cache"
-        run(tree, cache_dir=cache_dir)
-        (tree / "src" / "repro" / "serving" / "clean.py").unlink()
-        run(tree, cache_dir=cache_dir)
-        cache = LintCache(cache_dir)
-        cache.load()
-        assert all("clean.py" not in path for path in cache._entries)
-
-    def test_fingerprint_is_stable_within_a_process(self):
-        assert engine_fingerprint() == engine_fingerprint()
-
-
-class TestParallelism:
-    def test_jobs_output_matches_serial(self, tree):
-        serial = run(tree, jobs=1)
-        parallel = run(tree, jobs=2)
-        assert parallel.diagnostics == serial.diagnostics
+    diagnostics, _checked = check_paths([tree / "src"], **kwargs)
+    return diagnostics
 
 
 class TestRuleSelection:
@@ -127,116 +59,32 @@ class TestRuleSelection:
         assert info.value.suggestions  # near-misses offered
 
     def test_cli_unknown_rule_exits_2(self, tree, capsys):
-        code = main([str(tree / "src"), "--no-cache",
-                     "--select", "RPL-ZZZ"])
+        code = main([str(tree / "src"), "--select", "RPL-ZZZ"])
         assert code == 2
         err = capsys.readouterr().err
         assert "no such rule: RPL-ZZZ" in err
         assert "did you mean" in err
 
     def test_comma_separated_select(self, tree):
-        report = run(tree, select=["RPL-A002,RPL-C003"])
-        assert {d.rule for d in report.diagnostics} == {"RPL-A002"}
+        diagnostics = run(tree, select=["RPL-A002,RPL-P001"])
+        assert {d.rule for d in diagnostics} == {"RPL-A002"}
 
 
-class TestBaseline:
-    def test_baseline_round_trip(self, tree, capsys):
-        baseline = tree / "baseline.json"
-        assert main([str(tree / "src"), "--no-cache",
-                     "--write-baseline", str(baseline)]) == 0
-        assert main([str(tree / "src"), "--no-cache",
-                     "--baseline", str(baseline)]) == 0
-        hot = tree / "src" / "repro" / "serving" / "clean.py"
-        hot.write_text(CLEAN.replace(
-            "def double", "import time\n\n\nasync def go():\n"
-            "    helper()\n\n\ndef helper():\n    time.sleep(1)\n\n\n"
-            "def double"))
-        assert main([str(tree / "src"), "--no-cache",
-                     "--baseline", str(baseline)]) == 1
-
-    def test_invalid_baseline_exits_2(self, tree, capsys):
-        bad = tree / "bad.json"
-        bad.write_text("{}")
-        assert main([str(tree / "src"), "--no-cache",
-                     "--baseline", str(bad)]) == 2
-
-
-class TestSarif:
-    def test_sarif_document_shape(self, tree):
-        out = tree / "lint.sarif"
-        code = main([str(tree / "src"), "--no-cache", "--format", "sarif",
-                     "--output", str(out)])
-        assert code == 1
-        document = json.loads(out.read_text())
-        assert document["version"] == "2.1.0"
-        run_ = document["runs"][0]
-        assert run_["tool"]["driver"]["name"] == "reprolint"
-        rule_ids = {rule["id"] for rule in run_["tool"]["driver"]["rules"]}
-        assert {"RPL-A002", "RPL-D005", "RPL-P003", "RPL-C003"} <= rule_ids
-        results = run_["results"]
-        assert results and results[0]["ruleId"] == "RPL-A002"
-        region = results[0]["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] == 11
-
-
-class TestAutofix:
-    def test_async_sleep_rewrite_with_import_insertion(self):
-        source = ('"""Doc."""\n'
-                  "\n"
-                  "import time\n"
-                  "\n"
-                  "\n"
-                  "async def pump():\n"
-                  "    time.sleep(0.25)\n")
-        from repro.analysis import check_source
-        diagnostics = check_source(source, "src/repro/serving/x.py")
-        fixed, count = apply_fixes(source, "src/repro/serving/x.py",
-                                   diagnostics)
-        assert count == 1
-        assert "await asyncio.sleep(0.25)" in fixed
-        assert "import asyncio" in fixed
-        assert check_source(fixed, "src/repro/serving/x.py") == []
-
-    def test_fstring_key_rewrite(self):
-        source = ("def save(store, phase, n):\n"
-                  "    store.put(f'frames/{phase}/n{n}/latest', b'x')\n")
-        from repro.analysis import check_source
-        diagnostics = check_source(source, "src/repro/serving/x.py")
-        fixed, count = apply_fixes(source, "src/repro/serving/x.py",
-                                   diagnostics)
-        assert count == 1
-        assert "store.versioned_key('frames', phase, f'n{n}', 'latest')" \
-            in fixed
-
-    def test_sync_sleep_untouched(self):
-        source = ("import time\n"
-                  "def wait():\n"
-                  "    time.sleep(1)\n")
-        fixed, count = apply_fixes(source, "src/repro/serving/x.py", [])
-        assert count == 0 and fixed == source
-
-    def test_cli_fix_converges_to_clean(self, tree):
-        hot = tree / "src" / "repro" / "serving" / "hot.py"
-        hot.write_text('"""Doc."""\n'
-                       "\n"
-                       "import time\n"
-                       "\n"
-                       "\n"
-                       "async def pump(store, phase):\n"
-                       "    time.sleep(0.25)\n"
-                       "    store.put(f'frames/{phase}', b'x')\n")
-        assert main([str(tree / "src"), "--no-cache"]) == 1
-        assert main([str(tree / "src"), "--no-cache", "--fix"]) == 0
-        text = hot.read_text()
-        assert "await asyncio.sleep(0.25)" in text
-        assert "store.versioned_key('frames', phase)" in text
-        assert main([str(tree / "src"), "--no-cache"]) == 0
+class TestStatelessRun:
+    def test_run_writes_no_files(self, tree, monkeypatch, capsys):
+        monkeypatch.chdir(tree)
+        before = sorted(tree.rglob("*"))
+        assert main(["src"]) == 1
+        assert "RPL-A002" in capsys.readouterr().out
+        assert sorted(tree.rglob("*")) == before
 
 
 class TestListRules:
-    def test_new_rules_in_catalogue(self, capsys):
+    def test_catalogue_is_the_five_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RPL-A002", "RPL-D005", "RPL-P003", "RPL-C003"):
-            assert rule_id in out
-        assert "[whole-program]" in out
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("RPL-")]
+        assert listed == ["RPL-D001", "RPL-D004", "RPL-P001", "RPL-A001",
+                          "RPL-A002"]
+        assert "RPL-A002  async-transitive-blocking  [whole-program]" in out

@@ -1,10 +1,10 @@
-"""Interprocedural rules: chain-bearing fixtures for RPL-A002/D005/P003/C003.
+"""The whole-program rule: chain-bearing fixtures for RPL-A002.
 
-Each rule gets a seeded-violation fixture (asserting the rule id AND the
-rendered call chain in the diagnostic), a conforming twin, and the
+The rule gets seeded-violation fixtures (asserting the rule id AND the
+rendered call chain in the diagnostic), conforming twins, and the
 conservative-degradation / suppression cases.  Fixtures go through
 :func:`repro.analysis.check_project_sources`, the same facts → Project →
-rules path the CLI uses.
+rule path the CLI uses.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from repro.analysis import check_project_sources
 
 SERVING = "src/repro/serving/app.py"
 HELPERS = "src/repro/serving/util.py"
-EXPER = "src/repro/experiments/flow.py"
 
 
 def findings(*modules, **kwargs):
@@ -121,198 +120,6 @@ class TestAsyncTransitiveBlocking:
 
 
 # ---------------------------------------------------------------------------
-# RPL-D005: seed-provenance taint
-# ---------------------------------------------------------------------------
-
-
-class TestSeedProvenance:
-    def test_global_random_reached_from_entry_point(self):
-        result = findings((SERVING,
-                           "import random\n"
-                           "def _jitter():\n"
-                           "    return random.random()\n"
-                           "def serve(x):\n"
-                           "    return x + _jitter()\n"))
-        assert [d.rule for d in result] == ["RPL-D005"]
-        assert "serving.app.serve -> serving.app._jitter" \
-            in result[0].message
-
-    def test_constant_seed_ctor_flagged(self):
-        result = findings((SERVING,
-                           "import numpy as np\n"
-                           "def serve(pool):\n"
-                           "    rng = np.random.default_rng(42)\n"
-                           "    return rng.random()\n"))
-        assert [d.rule for d in result] == ["RPL-D005"]
-        assert "hardcoded constant" in result[0].message
-
-    def test_seeded_rng_derivation_blessed(self):
-        assert ids((SERVING,
-                    "from repro.util import seeded_rng\n"
-                    "def serve(x):\n"
-                    "    rng = seeded_rng('serve', x)\n"
-                    "    return rng.random()\n")) == []
-
-    def test_parameter_derived_seed_blessed(self):
-        assert ids((SERVING,
-                    "import numpy as np\n"
-                    "def serve(seed):\n"
-                    "    rng = np.random.default_rng(seed)\n"
-                    "    return rng.random()\n")) == []
-
-    def test_private_helper_unreachable_from_entry_not_flagged(self):
-        # No public entry point reaches it: stays a per-file concern.
-        assert ids((SERVING,
-                    "import random\n"
-                    "def _standalone():\n"
-                    "    return random.random()\n")) == []
-
-    def test_non_entry_module_not_flagged(self):
-        assert ids(("src/repro/workloads/gen.py",
-                    "import random\n"
-                    "def make(x):\n"
-                    "    return random.random()\n")) == []
-
-    def test_suppression(self):
-        assert ids((SERVING,
-                    "import random\n"
-                    "def serve(x):\n"
-                    "    return random.random()"
-                    "  # reprolint: disable=RPL-D005\n")) == []
-
-
-# ---------------------------------------------------------------------------
-# RPL-P003: unpicklable pool payloads
-# ---------------------------------------------------------------------------
-
-_TRACKER = (
-    "import threading\n"
-    "from concurrent.futures import ProcessPoolExecutor\n"
-    "\n"
-    "class Tracker:\n"
-    "    def __init__(self):\n"
-    "        self._lock = threading.Lock()\n"
-    "\n"
-    "def _work(t):\n"
-    "    pass\n"
-    "\n"
-)
-
-
-class TestUnpicklableSubmission:
-    def test_lock_holder_submitted_flagged(self):
-        result = findings((EXPER, _TRACKER +
-                           "def fan_out(items):\n"
-                           "    t = Tracker()\n"
-                           "    with ProcessPoolExecutor() as pool:\n"
-                           "        pool.submit(_work, t)\n"))
-        assert [d.rule for d in result] == ["RPL-P003"]
-        assert "thread lock" in result[0].message
-        assert "_lock" in result[0].message
-
-    def test_plain_payload_ok(self):
-        assert ids((EXPER,
-                    "from concurrent.futures import ProcessPoolExecutor\n"
-                    "def _work(t):\n"
-                    "    pass\n"
-                    "def fan_out(items):\n"
-                    "    with ProcessPoolExecutor() as pool:\n"
-                    "        pool.submit(_work, items)\n")) == []
-
-    def test_partial_bound_payload_to_phaserunner_flagged(self):
-        result = findings((EXPER, _TRACKER.replace(
-            "from concurrent.futures import ProcessPoolExecutor\n",
-            "from functools import partial\n"
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "from repro.experiments.runner import PhaseRunner\n") +
-            "def fan_out(items):\n"
-            "    t = Tracker()\n"
-            "    runner = PhaseRunner(worker_task=partial(_work, t))\n"))
-        assert [d.rule for d in result] == ["RPL-P003"]
-        assert "PhaseRunner worker_task" in result[0].message
-
-    def test_unknown_type_degrades_silently(self):
-        assert ids((EXPER,
-                    "from concurrent.futures import ProcessPoolExecutor\n"
-                    "def _work(t):\n"
-                    "    pass\n"
-                    "def fan_out(payload):\n"
-                    "    with ProcessPoolExecutor() as pool:\n"
-                    "        pool.submit(_work, payload)\n")) == []
-
-    def test_suppression(self):
-        assert ids((EXPER, _TRACKER +
-                    "def fan_out(items):\n"
-                    "    t = Tracker()\n"
-                    "    with ProcessPoolExecutor() as pool:\n"
-                    "        pool.submit(_work, t)"
-                    "  # reprolint: disable=RPL-P003\n")) == []
-
-
-# ---------------------------------------------------------------------------
-# RPL-C003: key provenance
-# ---------------------------------------------------------------------------
-
-
-class TestKeyProvenance:
-    def test_helper_returning_raw_string_flagged(self):
-        result = findings((EXPER,
-                           "def _make_key(phase):\n"
-                           "    return f'phase/{phase}'\n"
-                           "def run(store, phase):\n"
-                           "    store.put(_make_key(phase), b'x')\n"))
-        assert [d.rule for d in result] == ["RPL-C003"]
-        assert "experiments.flow._make_key" in result[0].message
-
-    def test_parameter_key_traced_to_raw_caller(self):
-        result = findings((EXPER,
-                           "def write(store, key):\n"
-                           "    store.put(key, b'x')\n"
-                           "def run(store):\n"
-                           "    write(store, 'raw/' + 'name')\n"))
-        assert [d.rule for d in result] == ["RPL-C003"]
-        assert "experiments.flow.run" in result[0].message
-
-    def test_versioned_helper_ok(self):
-        assert ids((EXPER,
-                    "def _make_key(store, phase):\n"
-                    "    return store.versioned_key('phase', phase)\n"
-                    "def run(store, phase):\n"
-                    "    store.put(_make_key(store, phase), b'x')\n")) == []
-
-    def test_versioned_caller_argument_ok(self):
-        assert ids((EXPER,
-                    "def write(store, key):\n"
-                    "    store.put(key, b'x')\n"
-                    "def run(store, phase):\n"
-                    "    write(store, store.versioned_key('p', phase))\n")) \
-            == []
-
-    def test_cross_module_helper_traced(self):
-        result = findings(
-            ("src/repro/experiments/keys.py",
-             "def shard_key(shard):\n"
-             "    return 'shard-%d' % shard\n"),
-            (EXPER,
-             "from repro.experiments.keys import shard_key\n"
-             "def run(store, shard):\n"
-             "    store.put(shard_key(shard), b'x')\n"))
-        assert [d.rule for d in result] == ["RPL-C003"]
-        assert "experiments.keys.shard_key" in result[0].message
-
-    def test_unknown_provenance_trusted(self):
-        assert ids((EXPER,
-                    "def run(store, conf):\n"
-                    "    store.put(conf.cache_key, b'x')\n")) == []
-
-    def test_suppression(self):
-        assert ids((EXPER,
-                    "def run(store, phase):\n"
-                    "    store.put(f'phase/{phase}', b'x')"
-                    "  # reprolint: disable=RPL-C003,RPL-C001\n")) == []
-
-
-# ---------------------------------------------------------------------------
 # selection plumbing
 # ---------------------------------------------------------------------------
 
@@ -327,6 +134,6 @@ class TestSelection:
                     "    return random.random()\n"
                     "async def serve(x):\n"
                     "    return x + _jitter()\n"),)
-        assert set(ids(*modules)) == {"RPL-A002", "RPL-D005"}
+        assert ids(*modules) == ["RPL-A002"]
         assert ids(*modules, select=["RPL-A002"]) == ["RPL-A002"]
-        assert ids(*modules, ignore=["RPL-A002"]) == ["RPL-D005"]
+        assert ids(*modules, ignore=["RPL-A002"]) == []

@@ -9,17 +9,10 @@ conservative-degradation contract: anything unresolvable becomes an
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.analysis.module import ModuleInfo
-from repro.analysis.project import (
-    ModuleFacts,
-    Project,
-    extract_facts,
-    module_name_for,
-)
+from repro.analysis.project import Project, extract_facts, module_name_for
 
 # ---------------------------------------------------------------------------
 # fixture mini-package: cycle alpha <-> beta, re-exports, decorators,
@@ -106,14 +99,6 @@ class TestModuleNames:
             == "scripts.bench_lint"
 
 
-class TestFactsSerialization:
-    def test_round_trip_through_json(self, project):
-        for facts in project.modules.values():
-            clone = ModuleFacts.from_dict(
-                json.loads(json.dumps(facts.to_dict())))
-            assert clone == facts
-
-
 class TestResolution:
     def test_plain_function(self, project):
         assert project.resolve_symbol("repro.mini.alpha.ping") \
@@ -180,12 +165,6 @@ class TestCallGraph:
         assert ("fn", "repro.mini.beta", "Base.name") in edge_targets(
             project, ("repro.mini.beta", "Base.greet"))
 
-    def test_import_graph_is_project_internal(self, project):
-        graph = project.import_graph()
-        assert "repro.mini.beta" in graph["repro.mini.alpha"]
-        assert all(module in project.modules
-                   for imports in graph.values() for module in imports)
-
 
 class TestOffloadEdges:
     def test_to_thread_reference_is_offloaded_edge(self):
@@ -225,42 +204,3 @@ class TestOffloadEdges:
         assert ("fn", "repro.mini.part", "worker") in [
             edge.target
             for edge in project.edges(("repro.mini.part", "build"))]
-
-
-class TestDerivedFacts:
-    def test_returns_versioned_fixpoint_chains(self):
-        project = Project([extract_facts(ModuleInfo(
-            "def leaf(store):\n"
-            "    return store.versioned_key('a')\n"
-            "def chained(store):\n"
-            "    return leaf(store)\n"
-            "def raw():\n"
-            "    return 'a/b'\n",
-            "src/repro/mini/keys.py"))])
-        assert project.returns_versioned(("repro.mini.keys", "leaf")) \
-            == "yes"
-        assert project.returns_versioned(("repro.mini.keys", "chained")) \
-            == "yes"
-        assert project.returns_versioned(("repro.mini.keys", "raw")) == "no"
-
-    def test_unpicklable_state_via_inheritance_and_composition(self):
-        project = Project([extract_facts(ModuleInfo(
-            "import threading\n"
-            "class Holder:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "class Child(Holder):\n"
-            "    pass\n"
-            "class Wrapper:\n"
-            "    def __init__(self):\n"
-            "        self.inner = Holder()\n"
-            "class Clean:\n"
-            "    def __init__(self):\n"
-            "        self.n = 3\n",
-            "src/repro/mini/unp.py"))])
-        assert project.unpicklable_state("repro.mini.unp.Holder") \
-            is not None
-        assert project.unpicklable_state("repro.mini.unp.Child") is not None
-        wrapped = project.unpicklable_state("repro.mini.unp.Wrapper")
-        assert wrapped is not None and wrapped[0] == "inner._lock"
-        assert project.unpicklable_state("repro.mini.unp.Clean") is None

@@ -84,67 +84,16 @@ class TestUnseededRandom:
         assert ids("import random\nrandom.random()\n",
                    path="tests/test_x.py") == []
 
-
-# ---------------------------------------------------------------------------
-# RPL-D002: wall-clock in result paths
-# ---------------------------------------------------------------------------
-
-
-class TestWallClock:
-    def test_time_time_flagged_in_package(self):
-        assert ids("import time\nstamp = time.time()\n") == ["RPL-D002"]
-
-    def test_datetime_now_flagged(self):
-        assert ids(
-            "from datetime import datetime\nstamp = datetime.now()\n"
-        ) == ["RPL-D002"]
-
-    def test_os_urandom_flagged(self):
-        assert ids("import os\ntoken = os.urandom(8)\n") == ["RPL-D002"]
-
-    def test_monotonic_sources_allowed(self):
-        source = (
-            "import time\n"
-            "t0 = time.monotonic()\n"
-            "t1 = time.perf_counter()\n"
-        )
-        assert ids(source) == []
-
-    def test_scripts_are_exempt(self):
-        assert ids("import time\nt = time.time()\n",
-                   path="scripts/driver.py") == []
-
-
-# ---------------------------------------------------------------------------
-# RPL-D003: unordered set iteration
-# ---------------------------------------------------------------------------
-
-
-class TestSetIteration:
-    def test_for_over_set_call_flagged(self):
-        assert ids("for x in set(items):\n    out.append(x)\n") == ["RPL-D003"]
-
-    def test_for_over_set_literal_flagged(self):
-        assert ids("for x in {1, 2, 3}:\n    out.append(x)\n") == ["RPL-D003"]
-
-    def test_list_of_set_flagged(self):
-        assert ids("order = list(set(items))\n") == ["RPL-D003"]
-
-    def test_comprehension_over_set_flagged(self):
-        assert ids("out = [x for x in set(items)]\n") == ["RPL-D003"]
-
-    def test_sorted_set_ok(self):
-        assert ids("for x in sorted(set(items)):\n    out.append(x)\n") == []
-
-    def test_genexpr_inside_sorted_ok(self):
-        assert ids("out = sorted(x for x in {1, 2, 3} if x)\n") == []
-
-    def test_set_comprehension_output_ok(self):
-        # Building another set from a set: no order to corrupt.
-        assert ids("out = {x + 1 for x in set(items)}\n") == []
-
-    def test_membership_and_len_ok(self):
-        assert ids("n = len(set(items))\nhit = 3 in set(items)\n") == []
+    def test_global_random_in_helper_flagged(self):
+        # The helper is private and only reached through a public
+        # function: the draw is flagged where it happens, whoever calls it.
+        source = ("import random\n"
+                  "def _jitter():\n"
+                  "    return random.random()\n"
+                  "def serve(x):\n"
+                  "    return x + _jitter()\n")
+        assert lines(source, path="src/repro/serving/app.py") \
+            == [("RPL-D001", 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +214,7 @@ class TestNondeterministicSeed:
 
 
 # ---------------------------------------------------------------------------
-# RPL-P001 / RPL-P002: pool safety
+# RPL-P001: pool safety
 # ---------------------------------------------------------------------------
 
 POOL_PREAMBLE = "from concurrent.futures import ProcessPoolExecutor\n"
@@ -349,153 +298,6 @@ class TestPoolCallable:
     def test_builtin_map_with_lambda_ok(self):
         # Plain ``map`` over an iterable is not a pool boundary.
         assert ids("out = list(map(str, items))\n") == []
-
-
-class TestWorkerGlobalMutation:
-    def test_global_rebind_flagged(self):
-        source = POOL_PREAMBLE + (
-            "_CACHE = None\n"
-            "def worker(x):\n"
-            "    global _CACHE\n"
-            "    _CACHE = x\n"
-        )
-        assert ids(source) == ["RPL-P002"]
-
-    def test_global_read_only_ok(self):
-        source = POOL_PREAMBLE + (
-            "_LIMIT = 5\n"
-            "def worker(x):\n"
-            "    return min(x, _LIMIT)\n"
-        )
-        assert ids(source) == []
-
-    def test_no_pool_in_module_ok(self):
-        source = (
-            "_CACHE = None\n"
-            "def setup(x):\n"
-            "    global _CACHE\n"
-            "    _CACHE = x\n"
-        )
-        assert ids(source) == []
-
-
-# ---------------------------------------------------------------------------
-# RPL-C001: unversioned DataStore keys
-# ---------------------------------------------------------------------------
-
-
-class TestUnversionedKey:
-    def test_fstring_key_flagged(self):
-        source = "store.put(f'{tag}/phase/{pid}', value)\n"
-        assert ids(source) == ["RPL-C001"]
-
-    def test_fstring_via_variable_flagged(self):
-        source = (
-            "def write(store, tag, value):\n"
-            "    key = f'{tag}/results'\n"
-            "    store.get_or_compute(key, value)\n"
-        )
-        assert ids(source) == ["RPL-C001"]
-
-    def test_versioned_key_call_ok(self):
-        source = "store.put(store.versioned_key(tag, 'phase', pid), value)\n"
-        assert ids(source) == []
-
-    def test_local_key_builder_chain_ok(self):
-        source = (
-            "class Pipe:\n"
-            "    def _phase_cache_key(self, pid):\n"
-            "        return self.store.versioned_key(self.tag, pid)\n"
-            "    def write(self, pid, value):\n"
-            "        key = self._phase_cache_key(pid)\n"
-            "        self.store.put(key, value)\n"
-        )
-        assert ids(source) == []
-
-    def test_unversioned_key_builder_def_flagged(self):
-        source = (
-            "def results_cache_key(tag, pid):\n"
-            "    return f'{tag}/{pid}'\n"
-        )
-        assert ids(source) == ["RPL-C001"]
-
-    def test_key_parameter_trusted(self):
-        # A bare parameter: construction is the caller's responsibility.
-        source = (
-            "def write(store, key, value):\n"
-            "    store.put(key, value)\n"
-        )
-        assert ids(source) == []
-
-    def test_non_store_receiver_ok(self):
-        assert ids("queue.put(f'{tag}/item', block)\n") == []
-
-
-# ---------------------------------------------------------------------------
-# RPL-C002: Cacti math outside the blessed module
-# ---------------------------------------------------------------------------
-
-
-class TestBlessedCacti:
-    TIMING = "src/repro/timing/example.py"
-
-    def test_log2_in_timing_flagged(self):
-        source = "import numpy as np\nlatency = np.log2(bits)\n"
-        assert ids(source, path=self.TIMING) == ["RPL-C002"]
-
-    def test_math_log2_in_power_flagged(self):
-        source = "import math\nlatency = math.log2(bits)\n"
-        assert ids(source, path="src/repro/power/extra.py") == ["RPL-C002"]
-
-    def test_blessed_module_exempt(self):
-        source = "import numpy as np\nlatency = np.log2(bits)\n"
-        assert ids(source, path="src/repro/power/cacti.py") == []
-
-    def test_outside_scope_exempt(self):
-        source = "import math\nbins = math.log2(maximum)\n"
-        assert ids(source, path="src/repro/counters/histograms.py") == []
-
-
-# ---------------------------------------------------------------------------
-# RPL-N001 / RPL-N002: numeric safety
-# ---------------------------------------------------------------------------
-
-
-class TestFloatEquality:
-    def test_float_literal_equality_flagged(self):
-        assert ids("done = x == 0.5\n") == ["RPL-N001"]
-
-    def test_float_literal_inequality_flagged(self):
-        assert ids("if ratio != 1.0:\n    pass\n") == ["RPL-N001"]
-
-    def test_division_equality_flagged(self):
-        assert ids("same = a / b == c\n") == ["RPL-N001"]
-
-    def test_integer_equality_ok(self):
-        assert ids("done = count == 3\n") == []
-
-    def test_float_ordering_ok(self):
-        assert ids("big = x > 0.5\n") == []
-
-    def test_tests_exempt(self):
-        assert ids("assert x == 0.5\n", path="tests/test_y.py") == []
-
-
-class TestFloatTruncation:
-    def test_int_of_division_flagged(self):
-        assert ids("n = int(total / width)\n") == ["RPL-N002"]
-
-    def test_int_of_float_scale_flagged(self):
-        assert ids("n = int(0.5 * count)\n") == ["RPL-N002"]
-
-    def test_int_of_round_ok(self):
-        assert ids("n = int(round(total / width))\n") == []
-
-    def test_floor_division_ok(self):
-        assert ids("n = total // width\n") == []
-
-    def test_int_cast_of_name_ok(self):
-        assert ids("n = int(value)\n") == []
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +485,10 @@ class TestEngine:
         )
 
     def test_select_and_ignore(self):
-        source = "import random\nn = int(a / b)\nx = random.random()\n"
-        assert ids(source, select=["RPL-N002"]) == ["RPL-N002"]
-        assert ids(source, ignore=["RPL-N002"]) == ["RPL-D001"]
+        source = ("import random\nimport numpy as np\n"
+                  "RNG = np.random.default_rng(7)\nx = random.random()\n")
+        assert ids(source, select=["RPL-D004"]) == ["RPL-D004"]
+        assert ids(source, ignore=["RPL-D004"]) == ["RPL-D001"]
 
     def test_rule_ids_unique_and_wellformed(self):
         seen = [rule.id for rule in ALL_RULES]
@@ -737,8 +540,6 @@ class TestRealTree:
         "RPL-P001": POOL_PREAMBLE
         + "with ProcessPoolExecutor() as pool:\n"
           "    fut = pool.submit(lambda: 1)\n",
-        "RPL-C001": "store.put(f'{tag}/entry', value)\n",
-        "RPL-N001": "converged = error == 0.1\n",
     }
 
     @pytest.mark.parametrize("rule_id", sorted(SEEDED_VIOLATIONS))

@@ -154,6 +154,47 @@ class TestTrainingKeys:
         assert store.contains(key)
         assert store.contains(first._prediction_key("basic"))
 
+    def test_every_written_key_is_versioned_and_scoped(self, tiny_scale,
+                                                       tmp_path):
+        """Each key a run writes carries the schema version and the scale
+        (the cross-validation folds are content-addressed instead), and
+        the trained products' keys carry the training inputs."""
+        from repro.control.arena import DEFAULT_SCENARIOS
+        from repro.dse import DseSettings
+        from repro.experiments import DataStore, ExperimentPipeline
+        from repro.experiments.arena import run_arena
+
+        class RecordingStore(DataStore):
+            def __init__(self, directory):
+                super().__init__(directory)
+                self.written = []
+
+            def put(self, key, value):  # get_or_compute stores via put
+                self.written.append(key)
+                super().put(key, value)
+
+        store = RecordingStore(tmp_path)
+        pipe = ExperimentPipeline(tiny_scale, store=store, workers=1,
+                                  train_workers=1)
+        for feature_set in ("advanced", "basic"):
+            pipe.predictions(feature_set)
+            pipe.full_predictor(feature_set)
+        run_arena(pipe, scenarios=DEFAULT_SCENARIOS[:1], max_intervals=2)
+        screened = ExperimentPipeline(tiny_scale, store=store, workers=1,
+                                      train_workers=1,
+                                      dse=DseSettings(pool_size=500))
+        screened.phase_data(*screened.phase_keys[0])
+
+        for part in ("phase", "phase-dse", "dse-screen", "predictions",
+                     "full-predictor", "arena-run", "fastcv"):
+            assert any(f"/{part}/" in key for key in store.written), part
+        for key in store.written:
+            assert key.startswith(f"s{DataStore.SCHEMA_VERSION}/"), key
+            if not key.startswith(f"s{DataStore.SCHEMA_VERSION}/fastcv/"):
+                assert tiny_scale.tag in key, key
+            if "/predictions/" in key or "/full-predictor/" in key:
+                assert pipe._training_tag in key, key
+
 
 class TestPrefetch:
     """Process fan-out: workers write through the store, parent re-reads."""

@@ -91,13 +91,20 @@ class TestDefaultModeParity:
                 np.testing.assert_array_equal(actual[held_out][name], matrix)
 
     def test_workers_parity(self, tmp_path):
-        """The fold fan-out lands on the same predictions as serial."""
+        """The fold fan-out lands on the same predictions as serial, and
+        every fit is trained in a worker: a fit the fan-out quarantines is
+        retrained in-process with equal predictions, so equality alone
+        would pass a fan-out that silently turned serial."""
         records = records_for(["a", "b", "c"], phases_per_program=3)
         serial = leave_one_program_out(records, max_iterations=30)
+        log: list[str] = []
         fast = fast_leave_one_program_out(
             records, max_iterations=30, workers=2,
-            store=DataStore(tmp_path))
+            store=DataStore(tmp_path), log=log.append)
         assert fast == serial
+        assert any("on 2 workers" in line for line in log), log
+        assert not [line for line in log
+                    if "quarantining" in line or "degrading" in line], log
 
 
 class TestFoldCaching:
