@@ -82,6 +82,7 @@ from _serve_common import (  # noqa: E402
     build_fixture,
     soak_client_entry,
 )
+from bench_train import git_commit  # noqa: E402
 
 from repro import obs  # noqa: E402
 from repro.serving import PredictResponse  # noqa: E402
@@ -151,8 +152,7 @@ async def replay_connection(port: int, fixture: ServingFixture, lane: int,
 
 async def run_bench(fixture: ServingFixture, connections: int,
                     requests_per_conn: int, window: int) -> dict:
-    server = fixture.server(engine_budget_s=0.2, max_age_s=0.002,
-                            queue_limit=256)
+    server = fixture.server(engine_budget_s=0.2, queue_limit=256)
     await server.start()
     latencies_ms: list[float] = []
     responses: list[PredictResponse] = []
@@ -266,7 +266,7 @@ def _run_fleet_load(fixture: ServingFixture, shards: int, duration_s: float,
     supervisor = ShardSupervisor(
         str(fixture.store_path), shards=shards,
         static_table=fixture.static_table, baseline=fixture.baseline,
-        engine_budget_s=0.2, max_age_s=0.002, queue_limit=256,
+        engine_budget_s=0.2, queue_limit=256,
         ready_timeout_s=120.0)
     print(f"[bench-serve] {label}: starting {shards}-shard fleet...",
           flush=True)
@@ -627,9 +627,11 @@ def main(argv: list[str] | None = None) -> int:
                   f"(shared={sharing['all_shared']})", flush=True)
 
     report = {
+        **git_commit(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cpus": os.cpu_count(),
         "smoke": args.smoke,
         **result,
     }

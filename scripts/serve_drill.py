@@ -246,7 +246,7 @@ async def fleet_drill(fixture: ServingFixture) -> None:
     supervisor = ShardSupervisor(
         str(fixture.store_path), shards=FLEET_SHARDS,
         static_table=fixture.static_table, baseline=fixture.baseline,
-        engine_budget_s=0.5, max_age_s=0.005, queue_limit=256,
+        engine_budget_s=0.5, queue_limit=256,
         ready_timeout_s=120.0)
     await asyncio.to_thread(supervisor.start)
     port = supervisor.port
@@ -397,8 +397,7 @@ async def fleet_drill(fixture: ServingFixture) -> None:
 
 
 async def drill(fixture: ServingFixture, fault_dir: Path) -> None:
-    server = fixture.server(engine_budget_s=ENGINE_BUDGET_S,
-                            max_age_s=0.005, queue_limit=128,
+    server = fixture.server(engine_budget_s=ENGINE_BUDGET_S, queue_limit=128,
                             failure_threshold=3, cooldown_s=0.2)
     await server.start()
     port = server.port

@@ -6,7 +6,9 @@ failures a long cache build actually hits:
 
 * **worker crashes / OOM kills** — a ``BrokenProcessPool`` poisons the
   whole executor, so the runner rebuilds the pool, re-charges a failure
-  to every item that was in flight, and resubmits them;
+  to every item that was in flight, and resubmits them (an item whose
+  ``submit`` found the pool already broken never ran and is requeued
+  uncharged);
 * **hung workers** — items carry a per-item deadline
   (``REPRO_PHASE_TIMEOUT``); on expiry the pool is killed and rebuilt
   and the timed-out item is retried;
@@ -327,21 +329,32 @@ class PhaseRunner:
                 # Keep at most `workers` items in flight: anything
                 # submitted is (nearly) immediately running, so a pool
                 # break charges failures only to plausibly-guilty items.
+                broken = False
                 while (waiting and waiting[0][0] <= now
                        and len(in_flight) < self.workers):
                     _, key = waiting.pop(0)
+                    try:
+                        future = executor.submit(self.worker_task, key)
+                    except BrokenProcessPool:
+                        # A worker died before its future was collected:
+                        # this item never ran, so it goes back uncharged
+                        # and the pool is rebuilt below.
+                        waiting.append((0.0, key))
+                        broken = True
+                        break
                     self._attempts[key] += 1
                     self._record(key, "attempt", attempt=self._attempts[key],
                                  mode="pool")
                     deadline = now + self.timeout if self.timeout else None
-                    future = executor.submit(self.worker_task, key)
                     in_flight[future] = _Flight(key, now, deadline)
-                if not in_flight:
+                if broken:
+                    done = {future for future in in_flight if future.done()}
+                elif not in_flight:
                     # Everything is backing off: sleep to the next item.
                     self._sleep(max(0.0, waiting[0][0] - time.monotonic()))
                     continue
-                done = self._await_progress(in_flight, waiting)
-                broken = False
+                else:
+                    done = self._await_progress(in_flight, waiting)
                 for future in done:
                     flight = in_flight.pop(future)
                     try:

@@ -21,6 +21,7 @@ from repro.obs.core import (
 from repro.obs.export import (
     chrome_trace,
     export_all,
+    histogram_quantile,
     merge_records,
     metrics_snapshot,
     render_summary,
@@ -37,6 +38,7 @@ __all__ = [
     "enabled",
     "export_all",
     "flush",
+    "histogram_quantile",
     "inc",
     "merge_records",
     "metrics_snapshot",

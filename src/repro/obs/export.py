@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Any
 
 from repro.obs import core
 from repro.obs.shards import iter_shards, read_records
@@ -28,6 +29,7 @@ from repro.obs.shards import iter_shards, read_records
 __all__ = [
     "chrome_trace",
     "export_all",
+    "histogram_quantile",
     "merge_records",
     "metrics_snapshot",
     "render_summary",
@@ -104,7 +106,7 @@ def metrics_snapshot(records: list[dict[str, object]]) -> dict[str, object]:
     """Aggregate counters/gauges/histograms/spans across all processes."""
     counters: dict[str, float] = {}
     gauges: dict[str, float] = {}
-    histograms: dict[str, dict[str, float]] = {}
+    histograms: dict[str, dict[str, Any]] = {}
     for record in _latest_metrics(records):
         for name, value in sorted(dict(record.get("counters") or {}).items()):  # type: ignore[call-overload]
             counters[name] = counters.get(name, 0.0) + float(value)
@@ -113,12 +115,15 @@ def metrics_snapshot(records: list[dict[str, object]]) -> dict[str, object]:
         for name, agg in sorted(dict(record.get("histograms") or {}).items()):  # type: ignore[call-overload]
             merged = histograms.setdefault(name, {
                 "count": 0, "sum": 0.0,
-                "min": float("inf"), "max": float("-inf"),
+                "min": float("inf"), "max": float("-inf"), "buckets": {},
             })
             merged["count"] += int(agg["count"])
             merged["sum"] += float(agg["sum"])
             merged["min"] = min(merged["min"], float(agg["min"]))
             merged["max"] = max(merged["max"], float(agg["max"]))
+            buckets = merged["buckets"]
+            for bucket, count in dict(agg.get("buckets") or {}).items():
+                buckets[bucket] = buckets.get(bucket, 0) + int(count)
 
     span_stats: dict[str, dict[str, float]] = {}
     pids = set()
@@ -171,6 +176,31 @@ def metrics_snapshot(records: list[dict[str, object]]) -> dict[str, object]:
             shard: {name: bucket[name] for name in sorted(bucket)}
             for shard, bucket in sorted(serving_shards.items())}
     return snapshot
+
+
+def histogram_quantile(histogram: dict[str, Any], q: float) -> float:
+    """The ``q``-quantile of a (merged) histogram, read from its buckets:
+    the geometric middle of the bucket holding that rank, clamped into
+    the observed ``[min, max]``."""
+    rank = q * histogram["count"]
+    seen = 0
+    for bucket, count in sorted((int(bucket), count) for bucket, count
+                                in histogram["buckets"].items()):
+        seen += count
+        if seen >= rank:
+            middle = 2.0 ** ((bucket + 0.5) / core.BUCKETS_PER_OCTAVE)
+            return min(max(middle, histogram["min"]), histogram["max"])
+    return float(histogram["max"])
+
+
+#: The served-request stages with a histogram each, as the summary
+#: labels them.
+_SERVING_STAGES = (
+    ("decode", "serve.decode_ms"),
+    ("queue wait", "serve.queue_wait_ms"),
+    ("encode", "serve.encode_ms"),
+    ("admit to answer", "serve.latency_ms"),
+)
 
 
 def _tier_mix_lines(serving: dict[str, float], indent: str,
@@ -269,6 +299,14 @@ def render_summary(records: list[dict[str, object]],
             lines.append(f"    {label:<21} {serving.get(key, 0.0):.0f}")
         lines.extend(_tier_mix_lines(serving, indent="    ",
                                      label="tier mix"))
+        histograms = snap["histograms"]
+        assert isinstance(histograms, dict)
+        for label, key in _SERVING_STAGES:
+            if key in histograms:
+                lines.append(
+                    f"    {label + ' ms':<21} "
+                    f"p50 {histogram_quantile(histograms[key], 0.5):.3f}  "
+                    f"p99 {histogram_quantile(histograms[key], 0.99):.3f}")
         shards = snap.get("serving_shards")
         if isinstance(shards, dict) and shards:
             lines.append("    per shard:")

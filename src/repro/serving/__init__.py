@@ -68,7 +68,6 @@ def build_service(
     static_default: MicroarchConfig | None = None,
     baseline: MicroarchConfig = PROFILING_CONFIG,
     max_batch_size: int = 32,
-    max_age_s: float = 0.01,
     engine_budget_s: float = 0.2,
     queue_limit: int = 64,
     failure_threshold: int = 3,
@@ -110,7 +109,6 @@ def build_service(
     )
     policy = MicroBatchPolicy(
         max_batch_size=max_batch_size,
-        max_age_s=max_age_s,
         engine_budget_s=engine_budget_s,
         clock=clock,
     )

@@ -1,18 +1,17 @@
 """Deadline-aware micro-batching policy.
 
-The predictor's batched path amortises one N×D GEMM over N requests,
-so the server holds arriving requests briefly to form micro-batches.
-Two watermarks bound the holding, and per-request deadlines cut it
-short:
+The server's batching is work-conserving: it never holds a request to
+wait for company.  A batch is whatever queued while the shard was busy
+with the previous one, so batches form under load and a lone request
+goes to the engine at once.  The policy bounds and filters that:
 
 * **size** — a batch never exceeds ``max_batch_size`` rows;
-* **age** — the oldest request never waits longer than ``max_age_s``;
 * **deadline** — a request with ``deadline_ms`` must reach the engine
-  while a full engine budget still fits before its deadline, so the
-  batch flushes at ``deadline - engine_budget_s`` if that comes first.
+  while a full engine budget still fits before its deadline; one that
+  no longer does is split off and answered from the fallback chain.
 
 The policy is pure logic over an injected monotonic clock — the asyncio
-server asks it *when* to flush and *which* requests can no longer
+server asks it when a batch is full and *which* requests can no longer
 afford the engine; tests drive it with a fake clock and no event loop.
 """
 
@@ -49,13 +48,11 @@ class PendingRequest:
 
 
 class MicroBatchPolicy:
-    """Size/age watermarks with deadline propagation.
+    """Size watermark with deadline propagation.
 
     Args:
-        max_batch_size: size watermark; flush as soon as this many
-            requests are pending.
-        max_age_s: age watermark; flush when the oldest pending request
-            has waited this long.
+        max_batch_size: size watermark; a batch takes at most this many
+            of the queued requests.
         engine_budget_s: wall-clock budget reserved for the model
             engines (the ladder's per-batch timeout).  A request whose
             remaining deadline budget drops below this cannot get a
@@ -67,18 +64,14 @@ class MicroBatchPolicy:
     def __init__(
         self,
         max_batch_size: int = 32,
-        max_age_s: float = 0.01,
         engine_budget_s: float = 0.2,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_age_s <= 0:
-            raise ValueError("max_age_s must be positive")
         if engine_budget_s <= 0:
             raise ValueError("engine_budget_s must be positive")
         self.max_batch_size = max_batch_size
-        self.max_age_s = max_age_s
         self.engine_budget_s = engine_budget_s
         self.clock = clock
 
@@ -91,28 +84,13 @@ class MicroBatchPolicy:
         return PendingRequest(request=request, arrival=now,
                               deadline=deadline, context=context)
 
-    def flush_at(self, pending: Sequence[PendingRequest]) -> float:
-        """Absolute time at which the pending batch must flush.
-
-        The earlier of the age watermark (measured from the *oldest*
-        request) and, for each deadlined request, the last instant at
-        which a full engine budget still fits before its deadline.
-        """
-        if not pending:
-            raise ValueError("flush_at needs at least one pending request")
-        flush = pending[0].arrival + self.max_age_s
-        for item in pending:
-            if item.deadline is not None:
-                flush = min(flush, item.deadline - self.engine_budget_s)
-        return flush
-
     def is_full(self, pending: Sequence[PendingRequest]) -> bool:
         return len(pending) >= self.max_batch_size
 
     def split_expired(
         self, pending: Sequence[PendingRequest], now: float | None = None
     ) -> tuple[list[PendingRequest], list[PendingRequest]]:
-        """Partition a flushing batch into (engine-eligible, expired).
+        """Partition a batch into (engine-eligible, expired).
 
         Expired requests no longer have a full engine budget before
         their deadline; the server answers them immediately from the

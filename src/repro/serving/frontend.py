@@ -111,7 +111,6 @@ class ShardSupervisor:
         static_default: object | None = None,
         baseline: object | None = None,
         max_batch_size: int = 32,
-        max_age_s: float = 0.01,
         engine_budget_s: float = 0.2,
         queue_limit: int = 64,
         failure_threshold: int = 3,
@@ -132,7 +131,6 @@ class ShardSupervisor:
             static_table=static_table,
             static_default=static_default,
             max_batch_size=max_batch_size,
-            max_age_s=max_age_s,
             engine_budget_s=engine_budget_s,
             queue_limit=queue_limit,
             failure_threshold=failure_threshold,

@@ -55,6 +55,9 @@ __all__ = [
 #: bounds per-connection buffer growth.
 MAX_FRAME_BYTES = 64 * 1024
 
+#: The types ``json.loads`` gives numbers (``bool`` is neither).
+_NUMBER_TYPES = frozenset((int, float))
+
 
 class ProtocolError(ValueError):
     """A malformed request frame; carries the request id if recoverable."""
@@ -80,8 +83,9 @@ class PredictRequest:
 
         Raises:
             ProtocolError: on any malformation — oversized frame, bad
-                JSON, missing/mistyped fields, non-finite features,
-                non-positive deadline.
+                JSON, missing/mistyped fields, non-finite features
+                (integers too large for a float included), non-positive
+                deadline.
         """
         if len(line) > MAX_FRAME_BYTES:
             raise ProtocolError(
@@ -100,27 +104,36 @@ class PredictRequest:
         if not isinstance(raw_features, list) or not raw_features:
             raise ProtocolError("'features' must be a non-empty array",
                                 request_id)
-        features: list[float] = []
-        for value in raw_features:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ProtocolError("'features' must be numbers", request_id)
-            number = float(value)
-            if not math.isfinite(number):
-                raise ProtocolError("'features' must be finite", request_id)
-            features.append(number)
+        numbers = raw_features
+        if not set(map(type, raw_features)) <= _NUMBER_TYPES:
+            # The first bad element names the reason, so a non-finite
+            # number ahead of the first non-number still reads "finite".
+            numbers = raw_features[:list(map(
+                _NUMBER_TYPES.__contains__, map(type, raw_features))
+            ).index(False)]
+        try:
+            features = tuple(map(float, numbers))
+        except OverflowError:  # an integer too large for a float
+            features = (math.inf,)
+        if not all(map(math.isfinite, features)):
+            raise ProtocolError("'features' must be finite", request_id)
+        if numbers is not raw_features:
+            raise ProtocolError("'features' must be numbers", request_id)
         deadline_ms = payload.get("deadline_ms")
         if deadline_ms is not None:
-            if (isinstance(deadline_ms, bool)
-                    or not isinstance(deadline_ms, (int, float))
-                    or not math.isfinite(float(deadline_ms))
-                    or float(deadline_ms) <= 0):
+            try:
+                deadline_ms = (float(deadline_ms)
+                               if type(deadline_ms) in _NUMBER_TYPES
+                               else math.nan)
+            except OverflowError:
+                deadline_ms = math.nan
+            if not 0.0 < deadline_ms < math.inf:
                 raise ProtocolError(
                     "'deadline_ms' must be a positive number", request_id)
-            deadline_ms = float(deadline_ms)
         program = payload.get("program")
         if program is not None and not isinstance(program, str):
             raise ProtocolError("'program' must be a string", request_id)
-        return cls(id=request_id, features=tuple(features),
+        return cls(id=request_id, features=features,
                    deadline_ms=deadline_ms, program=program)
 
 

@@ -5,15 +5,19 @@ Request lifecycle::
     readline → parse → admit (bounded queue) → micro-batch → ladder
              ↘ malformed: error frame   ↘ full/draining: shed frame
 
+Batching is work-conserving: the batch loop takes the oldest queued
+request as soon as the engine is free, together with whatever else
+queued behind it (up to ``max_batch_size``), and never waits for more.
+
 Robustness properties, each load-bearing:
 
 * **Bounded admission** — the queue holds at most ``queue_limit``
   requests; beyond that the server *sheds* with an explicit response
   instead of buffering without bound.  The client sees backpressure
   the moment it exists.
-* **Deadline propagation** — the batcher flushes early for tight
-  deadlines, and requests that can no longer afford the engine budget
-  are answered immediately from the fallback chain
+* **Deadline propagation** — requests that can no longer afford the
+  engine budget when their batch starts are answered immediately from
+  the fallback chain
   (:meth:`~repro.serving.ladder.DegradationLadder.fallback`).
 * **Fault isolation** — a malformed frame poisons neither its
   connection nor its neighbours; an engine crash degrades the current
@@ -23,9 +27,11 @@ Robustness properties, each load-bearing:
   every connection before returning.
 
 All counters/gauges/histograms go through :mod:`repro.obs`
-(``REPRO_OBS=1``); :meth:`stats` mirrors the operational numbers as a
-plain dict so the chaos drill can assert on them without the metrics
-pipeline.
+(``REPRO_OBS=1``), with one histogram per stage of a served request
+(``serve.decode_ms``, ``serve.queue_wait_ms``, ``serve.encode_ms``)
+beside the ``serve.engine_batch`` span; :meth:`stats` mirrors the
+operational numbers as a plain dict so the chaos drill can assert on
+them without the metrics pipeline.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import asyncio
 import signal
 import socket
 from collections import Counter
-from typing import Awaitable
+from typing import Awaitable, Callable
 
 from repro import obs
 from repro.config.configuration import MicroarchConfig
@@ -55,15 +61,20 @@ class _Connection:
     """Per-connection write ordering: responses for one socket are
     serialised through a lock because batch completions interleave."""
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
+    def __init__(self, writer: asyncio.StreamWriter,
+                 clock: Callable[[], float]) -> None:
         self.writer = writer
         self.lock = asyncio.Lock()
+        self.clock = clock
 
     async def send(self, response: PredictResponse) -> bool:
         async with self.lock:
             if self.writer.is_closing():
                 return False
-            self.writer.write(response.encode())
+            started = self.clock()
+            frame = response.encode()
+            obs.observe("serve.encode_ms", (self.clock() - started) * 1e3)
+            self.writer.write(frame)
             try:
                 await self.writer.drain()
             except (ConnectionError, OSError):
@@ -201,7 +212,7 @@ class PredictionServer:
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(writer)
+        conn = _Connection(writer, self.policy.clock)
         self._connections.add(conn)
         try:
             while True:
@@ -242,12 +253,14 @@ class PredictionServer:
 
     async def _handle_frame(self, line: bytes, conn: _Connection) -> bool:
         """Parse/admit one frame; ``False`` ends the connection."""
+        started = self.policy.clock()
         try:
             request = PredictRequest.parse(line)
         except ProtocolError as error:
             self._note("malformed")
             return await conn.send(
                 PredictResponse.error(error.request_id, error.reason))
+        obs.observe("serve.decode_ms", (self.policy.clock() - started) * 1e3)
         modes = faults.claim("serve-conn", request.id)
         if "drop" in modes:
             # Injected mid-request connection drop: the client sees a
@@ -275,25 +288,11 @@ class PredictionServer:
 
     async def _batch_loop(self) -> None:
         while True:
-            first = await self._queue.get()
-            pending = [first]
-            while not self.policy.is_full(pending):
-                # Already-queued items join the batch for free: under a
-                # backlog the oldest item has exhausted the age window,
-                # and flushing singletons would only grow the backlog.
-                try:
-                    pending.append(self._queue.get_nowait())
-                    continue
-                except asyncio.QueueEmpty:
-                    pass
-                timeout = self.policy.flush_at(pending) - self.policy.clock()
-                if timeout <= 0:
-                    break
-                try:
-                    pending.append(await asyncio.wait_for(
-                        self._queue.get(), timeout))
-                except asyncio.TimeoutError:
-                    break
+            pending = [await self._queue.get()]
+            # Work-conserving: what queued while the shard was busy joins
+            # this batch; nothing waits for requests yet to arrive.
+            while not (self.policy.is_full(pending) or self._queue.empty()):
+                pending.append(self._queue.get_nowait())
             obs.set_gauge("serve.queue_depth", float(self._queue.qsize()))
             try:
                 await self._answer_batch(pending)
@@ -311,7 +310,10 @@ class PredictionServer:
         batch_key = str(self._batch_seq)
         obs.observe("serve.batch_size", float(len(pending)))
         self.counts["batches"] += 1
-        eligible, expired = self.policy.split_expired(pending)
+        now = self.policy.clock()
+        for item in pending:
+            obs.observe("serve.queue_wait_ms", (now - item.arrival) * 1e3)
+        eligible, expired = self.policy.split_expired(pending, now)
         sends: list[Awaitable[None]] = []
         if expired:
             # Deadline-aware early fallback: these can no longer afford

@@ -61,7 +61,6 @@ class ShardSpec:
     static_default: MicroarchConfig | None = None
     baseline: MicroarchConfig = field(default=PROFILING_CONFIG)
     max_batch_size: int = 32
-    max_age_s: float = 0.01
     engine_budget_s: float = 0.2
     queue_limit: int = 64
     failure_threshold: int = 3
@@ -85,7 +84,6 @@ async def run_shard(spec: ShardSpec, ready: object | None = None) -> int:
         static_default=spec.static_default,
         baseline=spec.baseline,
         max_batch_size=spec.max_batch_size,
-        max_age_s=spec.max_age_s,
         engine_budget_s=spec.engine_budget_s,
         queue_limit=spec.queue_limit,
         failure_threshold=spec.failure_threshold,

@@ -7,6 +7,7 @@ exact degradation paths used by ``prefetch_phases`` are exercised.
 """
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -304,6 +305,35 @@ class TestPhaseRunnerPool:
         summary = journal.summary()
         assert summary["degraded_serial"] == 1
         assert summary["pool_rebuilds"] == 1
+
+    def test_submit_into_a_broken_pool_rebuilds(self, monkeypatch, journal):
+        """A worker can die before the loop collects its future; the
+        executor is then broken and the next ``submit`` raises."""
+        class BrokenOnSubmit:
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("a child process terminated")
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        made = []
+        new_executor = PhaseRunner._new_executor
+
+        def first_one_broken(runner, remaining):
+            made.append(remaining)
+            if len(made) == 1:
+                return BrokenOnSubmit()
+            return new_executor(runner, remaining)
+
+        monkeypatch.setattr(PhaseRunner, "_new_executor", first_one_broken)
+        runner = PhaseRunner(fault_prone_task, workers=2, journal=journal,
+                             policy=fast_policy())
+        outcomes = runner.run(["a", "b", "c"])
+        assert all(o.status == "computed" for o in outcomes.values())
+        summary = journal.summary()
+        assert summary["pool_rebuilds"] == 1
+        assert summary["failures"] == 0  # the item never ran
+        assert len(made) == 2
 
     def test_poison_task_quarantined_others_complete(self, monkeypatch,
                                                      journal):

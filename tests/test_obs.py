@@ -103,8 +103,10 @@ def test_metrics_aggregate_in_process(obs_dir):
     snap = obs.snapshot()
     assert snap["counters"] == {"hits": 3.0}
     assert snap["gauges"] == {"workers": 8.0}
+    # 16 log buckets per doubling: log2(1) * 16 = 0, log2(3) * 16 = 25.4.
     assert snap["histograms"]["seconds"] == {
-        "count": 2, "sum": 4.0, "min": 1.0, "max": 3.0}
+        "count": 2, "sum": 4.0, "min": 1.0, "max": 3.0,
+        "buckets": {"0": 1, "25": 1}}
 
 
 def test_flush_writes_max_seq_snapshot(obs_dir):
@@ -158,7 +160,26 @@ def test_histograms_merge_across_processes(obs_dir):
                                  "min": low, "max": high}}})
     merged = obs.metrics_snapshot(obs.merge_records(obs_dir))
     assert merged["histograms"]["s"] == {
-        "count": 4, "sum": 8.5, "min": 0.5, "max": 5.0}
+        "count": 4, "sum": 8.5, "min": 0.5, "max": 5.0, "buckets": {}}
+
+
+def test_histogram_buckets_merge_and_give_quantiles(obs_dir):
+    for pid, values in ((301, range(1, 51)), (302, range(51, 101))):
+        obs.configure(enabled=True, directory=str(obs_dir))
+        for value in values:
+            obs.observe("ms", float(value))
+        append_record(shard_path(obs_dir, pid), {
+            "t": "metrics", "seq": 1, "pid": pid, "inst": 1,
+            **obs.snapshot()})
+    merged = obs.metrics_snapshot(obs.merge_records(obs_dir))["histograms"]
+    assert merged["ms"]["count"] == 100
+    assert sum(merged["ms"]["buckets"].values()) == 100
+    # Each read-back is within one bucket (2 ** (1 / 16): 4.4%).
+    assert obs.histogram_quantile(merged["ms"], 0.5) == pytest.approx(
+        50.0, rel=0.045)
+    assert obs.histogram_quantile(merged["ms"], 0.99) == pytest.approx(
+        99.0, rel=0.045)
+    assert obs.histogram_quantile(merged["ms"], 1.0) == 100.0  # the max
 
 
 def test_chrome_trace_event_shape(obs_dir):
@@ -236,6 +257,25 @@ def test_render_summary_serving_section(obs_dir):
     assert "quantized 90.0%" in summary
     assert "float 6.0%" in summary
     assert "static 4.0%" in summary
+    assert "decode ms" not in summary  # no stage histograms recorded
+
+
+def test_render_summary_serving_stage_quantiles(obs_dir):
+    obs.inc("serve.request", 100)
+    for value in range(1, 101):
+        obs.observe("serve.decode_ms", value / 1000.0)
+        obs.observe("serve.queue_wait_ms", 1.0)
+        obs.observe("serve.encode_ms", 0.01)
+    obs.flush()
+    lines = obs.render_summary(obs.merge_records(obs_dir)).splitlines()
+    decode = next(line for line in lines if "decode ms" in line).split()
+    assert float(decode[decode.index("p50") + 1]) == pytest.approx(
+        0.050, rel=0.045)
+    assert float(decode[decode.index("p99") + 1]) == pytest.approx(
+        0.099, rel=0.045)
+    assert any("queue wait ms" in line and "p50 1.000  p99 1.000" in line
+               for line in lines)
+    assert any("encode ms" in line for line in lines)
 
 
 def test_render_summary_omits_serving_without_traffic(obs_dir):

@@ -4,23 +4,29 @@ Two contracts:
 
 * with ``REPRO_OBS`` unset, the instrumented hot loops (batch evaluation
   of 1k configurations, one ``characterize()`` call, one
-  ``collect_counters()`` call) stay within noise of an uninstrumented
-  baseline — checked by comparing the disabled-path
-  span/metric machinery cost against the work it wraps;
+  ``collect_counters()`` call, answering one served frame) stay within
+  noise of an uninstrumented baseline — checked by comparing the
+  disabled-path span/metric machinery cost against the work it wraps;
 * with ``REPRO_OBS`` on, results are **bit-identical**: observability is
   purely observational and never perturbs a number.
 """
 
 from __future__ import annotations
 
+import asyncio
+import json
 import time
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import TABLE1_PARAMETERS
 from repro.config.space import DesignSpace
 from repro.counters.collector import collect_counters
+from repro.model.predictor import ConfigurationPredictor
+from repro.model.serialize import load_weight_store, save_weight_store
+from repro.serving import PredictRequest, PredictResponse, build_service
 from repro.timing.batch import BatchIntervalEvaluator
 from repro.timing.characterize import characterize
 from repro.workloads.generator import PhaseSpec, TraceGenerator
@@ -33,6 +39,11 @@ CHARACTERIZE_SPANS = ("characterize.ilp", "characterize.caches",
                       "characterize.branches")
 #: The spans inside one ``collect_counters()`` call.
 COUNTERS_SPANS = ("counters.simulate", "counters.distances")
+#: The histograms the server records for each served request.
+SERVING_STAGES = ("serve.decode_ms", "serve.queue_wait_ms",
+                  "serve.encode_ms", "serve.latency_ms")
+#: The advanced feature set's width.
+SERVE_FEATURES = 390
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +239,85 @@ def test_quick_pipeline_results_identical_with_obs(tmp_path):
     # The observed build actually produced spans.
     names = {r.get("name") for r in obs.merge_records(tmp_path / "obs")}
     assert "phase.compute" in names
+
+
+@pytest.fixture(scope="module")
+def serving_inputs(tmp_path_factory):
+    """A weight store at the advanced feature width and eight frames."""
+    rng = np.random.default_rng(7)
+    weights = {p.name: rng.normal(size=(SERVE_FEATURES, p.cardinality))
+               for p in TABLE1_PARAMETERS}
+    path = tmp_path_factory.mktemp("serving") / "weights"
+    save_weight_store(ConfigurationPredictor.from_weights(weights), path)
+    frames = [json.dumps({"id": f"r{n}", "deadline_ms": 1000.0,
+                          "features": row.tolist()}).encode() + b"\n"
+              for n, row in enumerate(rng.normal(size=(8, SERVE_FEATURES)))]
+    return path, frames
+
+
+def test_serving_hooks_cost_less_than_answering_a_frame(serving_inputs,
+                                                        monkeypatch):
+    """The disabled stage histograms (two clock reads and one observe
+    per stage) cost < 5% of decoding, answering and encoding one frame
+    (best-of-N both sides, as above)."""
+    monkeypatch.delenv("REPRO_OBS", raising=False)
+    obs.reset_from_env()
+    path, frames = serving_inputs
+    model = load_weight_store(path).quantized()
+
+    def answer() -> None:
+        request = PredictRequest.parse(frames[0])
+        (config,) = model.predict_batch(np.asarray([request.features]))
+        PredictResponse.ok(request.id, config, "quantized").encode()
+
+    answer()
+    work_seconds = min(_timed(answer) for _ in range(20))
+    clock = time.monotonic
+
+    def hooks() -> None:
+        for name in SERVING_STAGES:
+            started = clock()
+            obs.observe(name, (clock() - started) * 1e3)
+
+    hooks()
+    hook_seconds = min(_timed(hooks) for _ in range(20))
+
+    assert hook_seconds < 0.05 * work_seconds, (
+        f"disabled obs hooks cost {hook_seconds * 1e6:.1f}µs per served "
+        f"frame vs {work_seconds * 1e6:.0f}µs of work")
+
+
+def test_served_answers_identical_with_obs_enabled(serving_inputs,
+                                                   tmp_path):
+    path, frames = serving_inputs
+
+    async def serve() -> list[bytes]:
+        server = build_service(path)
+        await server.start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        writer.writelines(frames)
+        answers = [await asyncio.wait_for(reader.readline(), timeout=5.0)
+                   for _ in frames]
+        writer.close()
+        await writer.wait_closed()
+        await server.drain()
+        return sorted(answers)
+
+    obs.reset_from_env()
+    assert not obs.enabled()
+    baseline = asyncio.run(serve())
+
+    obs.configure(enabled=True, directory=str(tmp_path))
+    try:
+        observed = asyncio.run(serve())
+        obs.flush()
+    finally:
+        obs.reset_from_env()
+
+    assert observed == baseline
+    assert all(b'"status": "ok"' in answer for answer in baseline)
+    histograms = obs.metrics_snapshot(obs.merge_records(tmp_path))[
+        "histograms"]
+    for name in SERVING_STAGES:
+        assert histograms[name]["count"] == len(frames)

@@ -1,4 +1,4 @@
-"""Micro-batching policy: watermarks and deadline propagation."""
+"""Micro-batching policy: size watermark and deadline propagation."""
 
 import pytest
 
@@ -30,8 +30,8 @@ def clock():
 
 @pytest.fixture
 def policy(clock):
-    return MicroBatchPolicy(max_batch_size=4, max_age_s=0.010,
-                            engine_budget_s=0.050, clock=clock)
+    return MicroBatchPolicy(max_batch_size=4, engine_budget_s=0.050,
+                            clock=clock)
 
 
 class TestAdmission:
@@ -45,32 +45,6 @@ class TestAdmission:
         item = policy.admit(request("a"))
         assert item.deadline is None
         assert item.remaining(clock.now + 1e9) == float("inf")
-
-
-class TestFlushAt:
-    def test_age_watermark_from_oldest_request(self, policy, clock):
-        first = policy.admit(request("a"))
-        clock.advance(0.004)
-        second = policy.admit(request("b"))
-        assert policy.flush_at([first, second]) == pytest.approx(
-            first.arrival + 0.010)
-
-    def test_tight_deadline_pulls_flush_earlier(self, policy, clock):
-        first = policy.admit(request("a"))
-        tight = policy.admit(request("b", deadline_ms=55.0))
-        # Flush when the tight request still has a full engine budget:
-        # deadline - engine_budget = now + 0.055 - 0.050.
-        assert policy.flush_at([first, tight]) == pytest.approx(
-            clock.now + 0.005)
-
-    def test_loose_deadline_does_not_beat_age_watermark(self, policy, clock):
-        first = policy.admit(request("a", deadline_ms=10_000.0))
-        assert policy.flush_at([first]) == pytest.approx(
-            first.arrival + 0.010)
-
-    def test_empty_batch_rejected(self, policy):
-        with pytest.raises(ValueError):
-            policy.flush_at([])
 
 
 class TestSplitExpired:
@@ -100,7 +74,7 @@ class TestWatermarksAndValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"max_batch_size": 0},
-        {"max_age_s": 0.0},
+        {"engine_budget_s": 0.0},
         {"engine_budget_s": -1.0},
     ])
     def test_bad_parameters_rejected(self, kwargs):

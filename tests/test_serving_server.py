@@ -45,7 +45,6 @@ STATIC_TABLE = {"mcf": PROFILING_CONFIG.with_value("width", 2)}
 
 def service(store_path, **kwargs):
     kwargs.setdefault("engine_budget_s", 0.25)
-    kwargs.setdefault("max_age_s", 0.003)
     kwargs.setdefault("static_table", STATIC_TABLE)
     return build_service(store_path, **kwargs)
 
@@ -111,6 +110,73 @@ class TestHappyPath:
         assert response.tier == "quantized"
 
 
+class TestWorkConservingBatches:
+    def test_lone_requests_are_answered_without_waiting(
+            self, store_path, features):
+        async def scenario():
+            server = build_service(store_path)  # stock settings
+            await server.start()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            responses = []
+            for n in range(20):
+                responses.extend(await send_frames(
+                    server.port,
+                    [{"id": f"r{n}", "features": list(features[n % 6])}]))
+            elapsed = loop.time() - started
+            await server.drain()
+            return server, responses, elapsed
+
+        server, responses, elapsed = asyncio.run(scenario())
+        assert [r.status for r in responses] == ["ok"] * 20
+        assert server.stats()["batches"] == 20
+        # An age window of even 10 ms per batch would need 200 ms.
+        assert elapsed < 0.1
+
+    def test_requests_queued_behind_a_batch_form_the_next_batch(
+            self, store_path, features, tmp_path, monkeypatch):
+        # The first batch sleeps in the engine while more frames arrive.
+        monkeypatch.setenv("REPRO_FAULTS", "slow@serve-engine:quantized/1")
+        monkeypatch.setenv("REPRO_FAULT_SLOW_SECONDS", "0.2")
+        monkeypatch.setenv("REPRO_FAULTS_DIR", str(tmp_path / "faults"))
+
+        async def scenario():
+            server = service(store_path, max_batch_size=4)
+            batches = []
+            answer_batch = server._answer_batch
+
+            async def recording(pending):
+                batches.append([item.request.id for item in pending])
+                await answer_batch(pending)
+
+            server._answer_batch = recording
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+
+            def send(request_id: str) -> None:
+                writer.write(json.dumps(
+                    {"id": request_id, "features": list(features[0])}
+                ).encode() + b"\n")
+
+            send("r0")
+            while not batches:
+                await asyncio.sleep(0.001)
+            for n in range(1, 11):
+                send(f"r{n}")
+            responses = [PredictResponse.decode(await asyncio.wait_for(
+                reader.readline(), timeout=5.0)) for _ in range(11)]
+            writer.close()
+            await writer.wait_closed()
+            await server.drain()
+            return batches, responses
+
+        batches, responses = asyncio.run(scenario())
+        assert batches == [["r0"], ["r1", "r2", "r3", "r4"],
+                           ["r5", "r6", "r7", "r8"], ["r9", "r10"]]
+        assert all(r.status == "ok" for r in responses)
+
+
 class TestMalformedFrames:
     def test_malformed_frame_answers_error_and_keeps_connection(
             self, store_path, features):
@@ -128,6 +194,30 @@ class TestMalformedFrames:
         assert error.status == "error"
         assert ok.status == "ok" and ok.id == "ok-after"
         assert server.stats()["malformed"] == 1
+
+    def test_integer_too_large_for_a_float_answers_error(
+            self, store_path, features):
+        huge = "1" + "0" * 400
+
+        async def scenario():
+            server = service(store_path)
+            await server.start()
+            responses = await send_frames(server.port, [
+                f'{{"id": "huge", "features": [{huge}]}}\n'.encode(),
+                f'{{"id": "late", "features": [1.0], "deadline_ms": {huge}}}'
+                '\n'.encode(),
+                {"id": "ok-after", "features": list(features[0])},
+            ])
+            await server.drain()
+            return responses
+
+        huge_feature, huge_deadline, ok = asyncio.run(scenario())
+        assert (huge_feature.status, huge_feature.id) == ("error", "huge")
+        assert huge_feature.reason == "'features' must be finite"
+        assert (huge_deadline.status, huge_deadline.id) == ("error", "late")
+        assert huge_deadline.reason == (
+            "'deadline_ms' must be a positive number")
+        assert ok.status == "ok" and ok.id == "ok-after"
 
     def test_oversized_frame_answers_error_then_closes(self, store_path):
         async def scenario():
@@ -283,7 +373,7 @@ class TestBackpressure:
 
         async def scenario():
             server = service(store_path, engine_budget_s=0.6,
-                             queue_limit=1, max_age_s=0.001)
+                             queue_limit=1)
             await server.start()
             payloads = [{"id": f"r{n}", "features": list(features[n]),
                          "program": "mcf"} for n in range(4)]
