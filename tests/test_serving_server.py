@@ -116,14 +116,20 @@ class TestWorkConservingBatches:
         async def scenario():
             server = build_service(store_path)  # stock settings
             await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
             loop = asyncio.get_running_loop()
             started = loop.time()
             responses = []
-            for n in range(20):
-                responses.extend(await send_frames(
-                    server.port,
-                    [{"id": f"r{n}", "features": list(features[n % 6])}]))
+            for n in range(20):  # each request waits for the last answer
+                writer.write(json.dumps(
+                    {"id": f"r{n}", "features": list(features[n % 6])}
+                ).encode() + b"\n")
+                responses.append(PredictResponse.decode(
+                    await asyncio.wait_for(reader.readline(), timeout=5.0)))
             elapsed = loop.time() - started
+            writer.close()
+            await writer.wait_closed()
             await server.drain()
             return server, responses, elapsed
 
