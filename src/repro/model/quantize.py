@@ -16,12 +16,15 @@ Rounding often makes two classes of one parameter share an int8 column.
 Such classes score the same on every input, so the answer among them is
 defined as the lowest class: inference scores each distinct column once
 (:meth:`QuantizedPredictor.predict_batch`) and maps it to the lowest
-class behind it, whatever the batch shape.
+class behind it, whatever the batch shape.  Distinct columns can still
+tie on a particular input (say, columns that differ only at features
+that are 0 in it); numpy scores one row with a matrix-vector product
+and a block with a matrix-matrix product, which may sum in different
+orders, so such a tie may still resolve differently by batch shape.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -37,9 +40,6 @@ from repro.model.predictor import ConfigurationPredictor
 
 __all__ = ["QuantizedPredictor"]
 
-#: Answers whose configuration object a predictor keeps for reuse.
-#: Client input decides which answers occur, so the cache is bounded.
-CONFIG_CACHE_SIZE = 1024
 #: Multiply-adds per scoring product.  OpenBLAS 0.3.31 on 2 vCPUs hands a
 #: product of about 10**6 multiply-adds (32 rows x 390 features x 80
 #: columns) to a second thread, which then spins for 1-4 ms of CPU per
@@ -123,9 +123,8 @@ class QuantizedPredictor:
         row per parameter in Table I order; a parameter with fewer than
         ``width`` distinct columns repeats its first one, which never
         wins an argmax because ties go to the first position.
-        ``_classes`` maps each grid cell back to its class index, and
-        ``_configs`` builds (and keeps) the configuration of one row of
-        class indices.  ``_block`` is the most rows one product takes
+        ``_classes`` maps each grid cell back to its class index.
+        ``_block`` is the most rows one product takes
         (:data:`PRODUCT_MULTIPLY_ADDS`).
         """
         ordered = sorted(self.parameters,
@@ -153,8 +152,6 @@ class QuantizedPredictor:
         self._gather = gather.ravel()
         self._rows = np.arange(len(ordered))
         self._block = max(1, PRODUCT_MULTIPLY_ADDS // self._columns.size)
-        self._configs = functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)(
-            MicroarchConfig.from_indices)
 
     def state(self) -> tuple[dict[str, np.ndarray], dict[str, float]]:
         """Per-parameter int8 matrices and scales (for serialization)."""
@@ -191,8 +188,8 @@ class QuantizedPredictor:
         every parameter's distinct columns (in row blocks that OpenBLAS
         runs on one thread) and one argmax.
 
-        Classes that share an int8 column answer the lowest of them, so
-        no answer depends on how requests were grouped into batches.
+        Classes that share an int8 column answer the lowest of them,
+        however the rows were grouped into batches.
 
         Args:
             x: an ``N x D`` matrix (or a single ``D``-vector, treated as
@@ -205,7 +202,8 @@ class QuantizedPredictor:
         grid = scores[:, self._gather].reshape(
             len(batch), *self._classes.shape)
         classes = self._classes[self._rows, grid.argmax(axis=2)]
-        return [self._configs(tuple(row)) for row in classes.tolist()]
+        return [MicroarchConfig.from_indices(tuple(row))
+                for row in classes.tolist()]
 
     # -- reporting --------------------------------------------------------------
 

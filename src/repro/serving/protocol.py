@@ -83,16 +83,18 @@ class PredictRequest:
 
         Raises:
             ProtocolError: on any malformation — oversized frame, bad
-                JSON, missing/mistyped fields, non-finite features
-                (integers too large for a float included), non-positive
-                deadline.
+                JSON (integers too long to convert included),
+                missing/mistyped fields, non-finite features (integers
+                too large for a float included), non-positive deadline.
         """
         if len(line) > MAX_FRAME_BYTES:
             raise ProtocolError(
                 f"frame exceeds {MAX_FRAME_BYTES} bytes")
         try:
             payload = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        except ValueError as error:
+            # Bad syntax, bad UTF-8, or an integer longer than the
+            # interpreter's int/str digit limit (4300 by default).
             raise ProtocolError(f"invalid JSON: {error}") from error
         if not isinstance(payload, dict):
             raise ProtocolError("frame must be a JSON object")

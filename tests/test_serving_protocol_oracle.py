@@ -8,16 +8,22 @@ tokens ``json.loads`` accepts, ``1e400`` and bad deadlines.  Both
 parsers must accept the same frames with ``==`` fields and reject the
 same frames with the same reason and request id.
 
-The one intended difference is an integer too large for a float: the
-reference raises ``OverflowError`` on it, and the production parser
-rejects it like an infinite number.  So the reference reads each such
-integer as ``1e400`` (a JSON number that parses as infinity), in the
-feature and deadline positions where it is converted to a float.
+The one intended difference is an integer too large: the reference
+raises on it, and the production parser rejects the frame.  One too
+large for a float makes the reference raise ``OverflowError`` where the
+production parser rejects it like an infinite number, so the reference
+reads each such integer as ``1e400`` (a JSON number that parses as
+infinity), in the feature and deadline positions where it is converted
+to a float.  One longer than the interpreter's int/str digit limit
+makes ``json.loads`` itself raise ``ValueError``, which the reference
+lets out and the production parser answers as invalid JSON; the
+parametrized cases at the end cover both.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -110,19 +116,43 @@ def test_parse_matches_the_reference_loop(frame):
         reference_protocol.parse, oracle)
 
 
-@pytest.mark.parametrize("frame, reason", [
-    (b'{"id": "a", "features": [1.0, 1' + b"0" * 400 + b"]}",
-     "'features' must be finite"),
-    (b'{"id": "a", "features": [-1' + b"0" * 400 + b', "x"]}',
-     "'features' must be finite"),
-    (b'{"id": "a", "features": [1.0], "deadline_ms": 1' + b"0" * 400
-     + b"}", "'deadline_ms' must be a positive number"),
+#: An integer past CPython's default int/str digit limit (4300 digits):
+#: ``json.loads`` raises ``ValueError`` on it wherever it sits.
+PAST_LIMIT = b"1" + b"0" * 5000
+past_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001,
+    reason="this interpreter converts a 5001-digit integer")
+
+
+@pytest.mark.parametrize("frame, raised, reason, request_id", [
+    pytest.param(b'{"id": "a", "features": [1.0, 1' + b"0" * 400 + b"]}",
+                 OverflowError, "'features' must be finite", "a",
+                 id="float-overflow-feature"),
+    pytest.param(b'{"id": "a", "features": [-1' + b"0" * 400 + b', "x"]}',
+                 OverflowError, "'features' must be finite", "a",
+                 id="float-overflow-before-a-string"),
+    pytest.param(b'{"id": "a", "features": [1.0], "deadline_ms": 1'
+                 + b"0" * 400 + b"}", OverflowError,
+                 "'deadline_ms' must be a positive number", "a",
+                 id="float-overflow-deadline"),
+    pytest.param(b'{"id": "a", "features": [1.0, ' + PAST_LIMIT + b"]}",
+                 ValueError, None, None, marks=past_limit,
+                 id="digit-limit-feature"),
+    pytest.param(b'{"id": -' + PAST_LIMIT + b', "features": [1.0]}',
+                 ValueError, None, None, marks=past_limit,
+                 id="digit-limit-id"),
+    pytest.param(b'{"id": "a", "features": [1.0], "deadline_ms": '
+                 + PAST_LIMIT + b"}", ValueError, None, None,
+                 marks=past_limit, id="digit-limit-deadline"),
 ])
-def test_huge_integers_are_rejected_where_the_reference_raised(frame,
-                                                               reason):
-    with pytest.raises(OverflowError):
+def test_huge_integers_are_rejected_where_the_reference_raised(
+        frame, raised, reason, request_id):
+    """``reason`` None: the reference's own error, as invalid JSON."""
+    with pytest.raises(raised) as reference:
         reference_protocol.parse(frame)
+    assert not isinstance(reference.value, ProtocolError)
     with pytest.raises(ProtocolError) as excinfo:
         PredictRequest.parse(frame)
-    assert excinfo.value.reason == reason
-    assert excinfo.value.request_id == "a"
+    assert excinfo.value.reason == (
+        reason or f"invalid JSON: {reference.value}")
+    assert excinfo.value.request_id == request_id

@@ -204,6 +204,9 @@ class TestMalformedFrames:
     def test_integer_too_large_for_a_float_answers_error(
             self, store_path, features):
         huge = "1" + "0" * 400
+        # Past the int/str digit limit (4300 by default), where json.loads
+        # itself raises ValueError.
+        longer = "1" + "0" * 5000
 
         async def scenario():
             server = service(store_path)
@@ -212,17 +215,20 @@ class TestMalformedFrames:
                 f'{{"id": "huge", "features": [{huge}]}}\n'.encode(),
                 f'{{"id": "late", "features": [1.0], "deadline_ms": {huge}}}'
                 '\n'.encode(),
+                f'{{"id": "long", "features": [{longer}]}}\n'.encode(),
                 {"id": "ok-after", "features": list(features[0])},
             ])
             await server.drain()
             return responses
 
-        huge_feature, huge_deadline, ok = asyncio.run(scenario())
+        huge_feature, huge_deadline, long_feature, ok = asyncio.run(
+            scenario())
         assert (huge_feature.status, huge_feature.id) == ("error", "huge")
         assert huge_feature.reason == "'features' must be finite"
         assert (huge_deadline.status, huge_deadline.id) == ("error", "late")
         assert huge_deadline.reason == (
             "'deadline_ms' must be a positive number")
+        assert long_feature.status == "error"
         assert ok.status == "ok" and ok.id == "ok-after"
 
     def test_oversized_frame_answers_error_then_closes(self, store_path):
