@@ -7,7 +7,9 @@ loop it replaced, verbatim, so ``tests/test_serving_protocol_oracle.py``
 can check that the production parser accepts and rejects the same
 frames, with the same reasons and equal features.  One difference is
 intended: here an integer too large for a float raises
-``OverflowError``, where the production parser rejects the frame.
+``OverflowError``, and one longer than the int/str digit limit lets the
+``ValueError`` of ``json.loads`` out, where the production parser
+rejects the frame.
 """
 
 from __future__ import annotations
