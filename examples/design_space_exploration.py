@@ -14,15 +14,16 @@ phases of one benchmark using the fast interval evaluator:
 Run:  python examples/design_space_exploration.py
 """
 
-from repro import DesignSpace, IntervalEvaluator, build_program, characterize, spec2000_suite
+from repro import DesignSpace, build_program, characterize, spec2000_suite
 from repro.experiments.sweeps import run_phase_sweep
+from repro.timing import BatchIntervalEvaluator
 
 
 def main() -> None:
     profile = spec2000_suite(("gap",))[0]
     program = build_program(profile, n_phases=4, n_intervals=8,
                             interval_length=12_000)
-    evaluator = IntervalEvaluator()
+    evaluator = BatchIntervalEvaluator()
     space = DesignSpace(seed=0)
     pool = space.random_sample(120)
 

@@ -84,7 +84,11 @@ def bench_evaluators(pool_size: int, trace_length: int, repeats: int) -> dict:
     batch = BatchIntervalEvaluator()
 
     # Cold machine-params cache for both paths: the comparison is the
-    # engine, not the memoization.
+    # engine, not the memoization.  The scalar side's cold cost includes
+    # one one-row derive_machine_params_arrays call per configuration,
+    # so its time and the speedup read higher than in BENCH_sweep.json
+    # runs recorded while the scalar path had its own Cacti formulas,
+    # although the batch path is the same.
     scalar_seconds = []
     for _ in range(repeats):
         derive_machine_params.cache_clear()

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.counters.histograms import TemporalHistogram, log2_histogram
-from repro.power.cacti import ArrayGeometry, CactiModel
+from repro.power.cacti import CactiModel
 from repro.timing.caches import block_reuse_distances, set_reuse_distances
 
 __all__ = [
@@ -164,7 +164,6 @@ def monitoring_overheads(
     sampled_sets: int,
     feature: str,
     block_bytes: int = 64,
-    cacti: CactiModel | None = None,
 ) -> MonitorOverheads:
     """Figure 9: dynamic/leakage overhead of gathering one histogram.
 
@@ -172,7 +171,6 @@ def monitoring_overheads(
     updated on every access to a sampled set; its energy is compared to
     the host cache's per-access read energy and leakage.
     """
-    cacti = cacti or CactiModel()
     n_sets = max(1, cache_size_bytes // block_bytes // assoc)
     sampled_sets = min(sampled_sets, n_sets)
     if feature == "block_reuse":
@@ -184,21 +182,18 @@ def monitoring_overheads(
     else:
         raise ValueError(f"unknown feature type {feature!r}")
 
-    cache_geometry = ArrayGeometry(
-        cache_size_bytes // block_bytes, block_bytes * 8 + 40
-    )
-    monitor_geometry = ArrayGeometry(max(2, entries), bits)
+    cacti = CactiModel()
+    cache = cacti.batch_costs(cache_size_bytes // block_bytes, block_bytes * 8 + 40)
+    monitor = cacti.batch_costs(max(2, entries), bits)
 
     sample_ratio = sampled_sets / n_sets
     # One monitor update per access to a sampled set.
     dynamic_frac = (
-        cacti.write_energy_pj(monitor_geometry)
+        monitor.write_energy_pj.item()
         * sample_ratio
-        / cacti.read_energy_pj(cache_geometry)
+        / cache.read_energy_pj.item()
     )
-    leakage_frac = (
-        cacti.leakage_mw(monitor_geometry) / cacti.leakage_mw(cache_geometry)
-    )
+    leakage_frac = monitor.leakage_mw.item() / cache.leakage_mw.item()
     return MonitorOverheads(
         dynamic_frac=dynamic_frac,
         leakage_frac=leakage_frac,

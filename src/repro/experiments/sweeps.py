@@ -8,10 +8,7 @@ per phase; the sizes come from the active
 :class:`~repro.experiments.scale.ReproScale`.
 
 Each of the three stages is priced as one deduplicated batch through the
-vectorized :class:`~repro.timing.batch.BatchIntervalEvaluator`; passing a
-plain :class:`~repro.timing.interval.IntervalEvaluator` (or any object
-with only a scalar ``evaluate``) falls back to a per-config loop with
-identical results.
+vectorized :class:`~repro.timing.batch.BatchIntervalEvaluator`.
 
 The surrogate-accelerated path (opt-in; see :mod:`repro.dse`) slots in
 between stage 1 and stage 2: a 100k+ candidate pool is screened by
@@ -32,7 +29,6 @@ from repro.dse import EncodedPool, ScreenStats, SuccessiveHalvingScreener
 from repro.power.metrics import EfficiencyResult
 from repro.timing.batch import BatchIntervalEvaluator, CharTables
 from repro.timing.characterize import TraceCharacterization
-from repro.timing.interval import IntervalEvaluator
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.experiments.datastore import DataStore
@@ -65,7 +61,7 @@ def run_phase_sweep(
     pool: Sequence[MicroarchConfig],
     neighbour_count: int,
     seed: int,
-    evaluator: IntervalEvaluator | None = None,
+    evaluator: BatchIntervalEvaluator | None = None,
     dse_pool: EncodedPool | None = None,
     screener: SuccessiveHalvingScreener | None = None,
     screen_cache: tuple["DataStore", str] | None = None,
@@ -79,14 +75,13 @@ def run_phase_sweep(
         neighbour_count: stage 2 size (paper: 200).
         seed: seed for the neighbour sampling (and, on the DSE path,
             the screening draws).
-        evaluator: configuration evaluator (default
-            :class:`BatchIntervalEvaluator`; a scalar-only evaluator is
-            driven one config at a time).
+        evaluator: configuration evaluator (default: a fresh
+            :class:`BatchIntervalEvaluator`).
         dse_pool: opt-in encoded candidate pool to screen between
             stages 1 and 2 (see :class:`~repro.dse.CandidateSampler`).
         screener: the screener for ``dse_pool`` (default: a
             :class:`~repro.dse.SuccessiveHalvingScreener` sharing
-            ``evaluator`` when it is batch-capable).
+            ``evaluator``).
         screen_cache: optional ``(store, key)`` pair; the screen result
             is served from / written to the
             :class:`~repro.experiments.datastore.DataStore` under it.
@@ -96,18 +91,14 @@ def run_phase_sweep(
     evaluator = evaluator or BatchIntervalEvaluator()
     space = DesignSpace(seed=seed)
     evaluations: dict[MicroarchConfig, EfficiencyResult] = {}
-    tables = CharTables(char) if hasattr(evaluator, "evaluate_many") else None
+    tables = CharTables(char)
 
     def evaluate_stage(configs: Iterable[MicroarchConfig]) -> None:
         """Price every not-yet-seen config, deduplicated, in one batch."""
         fresh = [c for c in dict.fromkeys(configs) if c not in evaluations]
-        if not fresh:
-            return
-        if tables is not None:
-            results = evaluator.evaluate_many(char, fresh, tables=tables)
-        else:
-            results = [evaluator.evaluate(char, c) for c in fresh]
-        evaluations.update(zip(fresh, results))
+        if fresh:
+            evaluations.update(
+                zip(fresh, evaluator.evaluate_many(char, fresh, tables=tables)))
 
     def best_so_far() -> MicroarchConfig:
         return max(evaluations, key=lambda c: evaluations[c].efficiency)
@@ -116,16 +107,11 @@ def run_phase_sweep(
     evaluate_stage(pool)
 
     # Optional surrogate stage: screen the big encoded pool, keep every
-    # exactly-priced row.  The screener needs a batch-capable evaluator;
-    # a scalar-only one gets the default batch evaluator (identical
-    # results — it shares the scalar path's calibration).
+    # exactly-priced row.
     screening: ScreenStats | None = None
     if dse_pool is not None:
         if screener is None:
-            batch_evaluator = (
-                evaluator if isinstance(evaluator, BatchIntervalEvaluator)
-                else BatchIntervalEvaluator())
-            screener = SuccessiveHalvingScreener(evaluator=batch_evaluator)
+            screener = SuccessiveHalvingScreener(evaluator=evaluator)
         store, cache_key = screen_cache if screen_cache else (None, None)
         screened = screener.screen(char, dse_pool, seed, tables=tables,
                                    store=store, cache_key=cache_key)

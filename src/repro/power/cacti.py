@@ -3,8 +3,9 @@
 The paper altered Wattch's underlying Cacti models so that access latency
 and energy-per-access track each structure's configured size, and used them
 to model component latencies as sizes vary.  This module provides that
-scaling analytically: a :class:`CactiModel` maps an :class:`ArrayGeometry`
-(entries x bits, port counts, CAM-ness) to
+scaling analytically: :meth:`CactiModel.batch_costs` maps the geometry of
+one SRAM/CAM array (entries x bits, port counts, CAM-ness), given for a
+whole batch of configurations at once, to
 
 * access latency in nanoseconds — grows with array size and port count;
 * dynamic read/write energy per access in picojoules — grows with array
@@ -13,6 +14,9 @@ scaling analytically: a :class:`CactiModel` maps an :class:`ArrayGeometry`
 * transistor count — used by the reconfiguration cost model of section
   VIII (powering up 1.2M transistors takes 200ns).
 
+These are the only copies of the formulas: one configuration is priced as
+a batch of one (see :func:`repro.timing.resources.derive_machine_params`).
+
 Absolute values target a ~70nm-class technology and only need to be
 *plausible*; every experiment in the paper (and in this reproduction) is a
 relative comparison under one consistent model.
@@ -20,60 +24,19 @@ relative comparison under one consistent model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ArrayGeometry", "ArrayCosts", "CactiModel"]
-
-
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Geometry of one SRAM/CAM array.
-
-    Attributes:
-        entries: number of addressable entries (rows).
-        entry_bits: data bits per entry.
-        read_ports: dedicated read port count.
-        write_ports: dedicated write port count.
-        is_cam: content-addressable array (e.g. issue-queue wakeup); a CAM
-            match touches every entry's tag, adding entry-count-proportional
-            energy and latency.
-        tag_bits: tag width for CAM matches (ignored for RAM).
-    """
-
-    entries: int
-    entry_bits: int
-    read_ports: int = 1
-    write_ports: int = 1
-    is_cam: bool = False
-    tag_bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.entries <= 0 or self.entry_bits <= 0:
-            raise ValueError("array must have positive entries and entry_bits")
-        if self.read_ports < 1 or self.write_ports < 1:
-            raise ValueError("arrays need at least one read and one write port")
-        if self.is_cam and self.tag_bits <= 0:
-            raise ValueError("CAM arrays need positive tag_bits")
-
-    @property
-    def total_bits(self) -> int:
-        return self.entries * (self.entry_bits + (self.tag_bits if self.is_cam else 0))
-
-    @property
-    def ports(self) -> int:
-        return self.read_ports + self.write_ports
+__all__ = ["ArrayCosts", "CactiModel"]
 
 
 @dataclass(frozen=True)
 class ArrayCosts:
-    """Vectorized costs of one structure across a batch of geometries.
+    """Costs of one structure across a batch of geometries.
 
     Every field is a float64 array with one entry per configuration in the
-    batch; values are elementwise identical to the scalar
-    :class:`CactiModel` methods.
+    batch.
     """
 
     latency_ns: np.ndarray
@@ -117,68 +80,9 @@ class CactiModel:
     TRANSISTORS_PER_BIT = 6.0
     TRANSISTORS_PER_EXTRA_PORT_BIT = 2.0
 
-    def _port_scale(self, geometry: ArrayGeometry, factor: float) -> float:
-        return 1.0 + factor * (geometry.ports - 1)
-
-    def access_latency_ns(self, geometry: ArrayGeometry) -> float:
-        """Read access time in nanoseconds."""
-        bits = geometry.total_bits
-        # np.log2 (not math.log2) so the scalar and batch paths are bitwise
-        # identical: the two libm implementations can differ by one ulp.
-        latency = (
-            self.T_BASE_NS
-            + self.T_DECODE_NS * float(np.log2(bits))
-            + self.T_WIRE_NS
-            * math.sqrt(bits)
-            * self._port_scale(geometry, self.T_PORT_FACTOR)
-        )
-        if geometry.is_cam:
-            latency += self.T_CAM_NS_PER_ENTRY * geometry.entries
-        return latency
-
-    def read_energy_pj(self, geometry: ArrayGeometry) -> float:
-        """Dynamic energy of one read access, in picojoules.
-
-        The whole access (bitlines *and* sensing) scales with port count:
-        extra ports stretch every wire in the array.
-        """
-        bits = geometry.total_bits
-        energy = (
-            self.E_BITLINE_PJ * math.sqrt(bits)
-            + self.E_SENSE_PJ_PER_BIT * geometry.entry_bits
-        ) * self._port_scale(geometry, self.E_PORT_FACTOR)
-        if geometry.is_cam:
-            energy += self.E_CAM_PJ_PER_TAGBIT * geometry.entries * geometry.tag_bits
-        return energy
-
-    def write_energy_pj(self, geometry: ArrayGeometry) -> float:
-        """Dynamic energy of one write access, in picojoules."""
-        bits = geometry.total_bits
-        return self.E_WRITE_FACTOR * (
-            self.E_BITLINE_PJ * math.sqrt(bits)
-            + self.E_SENSE_PJ_PER_BIT * geometry.entry_bits
-        ) * self._port_scale(geometry, self.E_PORT_FACTOR)
-
-    def leakage_mw(self, geometry: ArrayGeometry) -> float:
-        """Static (leakage) power of the array, in milliwatts."""
-        return (
-            self.LEAK_MW_PER_BIT
-            * geometry.total_bits
-            * self._port_scale(geometry, self.LEAK_PORT_FACTOR)
-        )
-
-    def transistors(self, geometry: ArrayGeometry) -> float:
-        """Approximate transistor count, for reconfiguration costing."""
-        per_bit = self.TRANSISTORS_PER_BIT + self.TRANSISTORS_PER_EXTRA_PORT_BIT * (
-            geometry.ports - 1
-        )
-        return per_bit * geometry.total_bits
-
-    # -- batch (vectorized) path ------------------------------------------
-
     def batch_costs(
         self,
-        entries: np.ndarray,
+        entries: np.ndarray | int,
         entry_bits: int,
         read_ports: np.ndarray | int = 1,
         write_ports: np.ndarray | int = 1,
@@ -187,9 +91,19 @@ class CactiModel:
     ) -> ArrayCosts:
         """Costs of one structure for a whole batch of configurations.
 
-        Elementwise equivalent of the scalar methods: each argument is a
-        scalar or an array over the batch, and every operation mirrors the
-        scalar formulas term for term so the results agree bitwise.
+        Args:
+            entries: addressable entries (rows), per configuration.
+            entry_bits: data bits per entry.
+            read_ports: dedicated read ports, per configuration or shared.
+            write_ports: dedicated write ports, per configuration or shared.
+            is_cam: content-addressable array (e.g. issue-queue wakeup); a
+                CAM match touches every entry's tag, adding
+                entry-count-proportional energy and latency.
+            tag_bits: tag width for CAM matches (ignored for RAM).
+
+        Geometries are not validated: this is the hot path of batch
+        pricing, and configurations are checked against Table I when they
+        are built.
         """
         entries = np.asarray(entries, dtype=np.float64)
         ports = np.asarray(read_ports, dtype=np.float64) + np.asarray(
@@ -206,6 +120,8 @@ class CactiModel:
             + self.T_DECODE_NS * np.log2(total_bits)
             + self.T_WIRE_NS * sqrt_bits * port_scale(self.T_PORT_FACTOR)
         )
+        # The whole access (bitlines *and* sensing) scales with port count:
+        # extra ports stretch every wire in the array.
         base_energy = (
             self.E_BITLINE_PJ * sqrt_bits + self.E_SENSE_PJ_PER_BIT * entry_bits
         )

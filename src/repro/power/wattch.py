@@ -3,23 +3,30 @@
 Wattch computes processor power as per-structure *activity* (access counts)
 times per-access energy, plus leakage over time.  Both of this repository's
 timing models produce the same activity vocabulary (the keys of
-``SimResult.activity``); this module turns an activity dictionary plus the
-:class:`~repro.timing.resources.MachineParams` into a :class:`PowerReport`
-with per-structure energy, total power, and the paper's energy-efficiency
-metric inputs.
+``SimResult.activity``); :func:`account` turns an activity dictionary plus
+the machine parameters into a :class:`PowerReport` with the energy
+components of the paper's energy-efficiency metric.
+
+One loop prices both shapes of input: Python numbers with the
+:class:`~repro.timing.resources.MachineParams` of one configuration (the
+scalar interval evaluator, the cycle simulator), or one array per key with
+the :class:`~repro.timing.resources.BatchMachineParams` of a batch
+(:class:`~repro.timing.batch.BatchIntervalEvaluator`).  Both run the same
+operations in the same order, so row ``i`` of a batch prices bitwise like
+configuration ``i`` alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 if TYPE_CHECKING:  # import at runtime would be circular (timing uses cacti)
     from repro.timing.resources import BatchMachineParams, MachineParams
 
-__all__ = ["PowerReport", "BatchPowerReport", "account", "account_batch"]
+__all__ = ["PowerReport", "account"]
 
 #: Maps activity keys to (structure, kind) where kind selects read or write
 #: energy.  ALU ops are priced separately.
@@ -53,121 +60,54 @@ _ALU_KEYS = {
 MEMORY_ACCESS_PJ = 4000.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PowerReport:
-    """Energy and power of one run."""
+    """Energy of one run, or of a batch of runs with one entry per run."""
 
-    time_ns: float
-    dynamic_pj: float
-    leakage_pj: float
-    clock_pj: float
-    per_structure_pj: dict[str, float] = field(default_factory=dict)
+    time_ns: float | np.ndarray
+    dynamic_pj: float | np.ndarray
+    leakage_pj: float | np.ndarray
+    clock_pj: float | np.ndarray
 
     @property
-    def total_pj(self) -> float:
+    def total_pj(self) -> float | np.ndarray:
         return self.dynamic_pj + self.leakage_pj + self.clock_pj
 
     @property
-    def energy_joules(self) -> float:
+    def energy_joules(self) -> float | np.ndarray:
         return self.total_pj * 1e-12
 
     @property
     def power_watts(self) -> float:
+        """Mean power of one run (zero if it took no time)."""
         if self.time_ns <= 0:
             return 0.0
-        return self.total_pj / self.time_ns * 1e-3  # pJ/ns = mW
+        return float(self.total_pj / self.time_ns * 1e-3)  # pJ/ns = mW
 
 
 def account(
-    activity: dict[str, int], params: "MachineParams", cycles: int
+    activity: Mapping[str, float | np.ndarray],
+    params: MachineParams | BatchMachineParams,
+    cycles: int | np.ndarray,
 ) -> PowerReport:
     """Price an activity dictionary under ``params``.
 
     Args:
         activity: per-event access counts (the ``SimResult.activity``
-            vocabulary; unknown keys raise).
-        params: derived machine parameters (energies, leakage, clocking).
-        cycles: total cycles of the run (for clock and leakage energy).
+            vocabulary; unknown keys raise), one number or one array over
+            the batch per key.
+        params: derived machine parameters (energies, leakage, clocking)
+            of one configuration or of the batch.
+        cycles: total cycles of each run (for clock and leakage energy).
+
+    The per-key energies are summed in the dictionary's insertion order,
+    so equal key orders give bitwise equal sums.
     """
     from repro.timing.resources import ALU_ENERGY_PJ
 
-    per_structure: dict[str, float] = {}
-    dynamic = 0.0
-    for key, count in activity.items():
-        if count == 0:
-            continue
-        if key in _ALU_KEYS:
-            energy = ALU_ENERGY_PJ[_ALU_KEYS[key]] * count
-            per_structure["alu"] = per_structure.get("alu", 0.0) + energy
-        elif key in _ACTIVITY_STRUCTURE:
-            name, kind = _ACTIVITY_STRUCTURE[key]
-            costs = params.structures[name]
-            per_access = (
-                costs.read_energy_pj if kind == "read" else costs.write_energy_pj
-            )
-            energy = per_access * count
-            per_structure[name] = per_structure.get(name, 0.0) + energy
-        elif key.endswith("_miss"):
-            if key == "l2_miss":
-                energy = MEMORY_ACCESS_PJ * count
-                per_structure["memory_bus"] = (
-                    per_structure.get("memory_bus", 0.0) + energy
-                )
-            else:
-                continue  # L1 misses are priced via their l2_access events
-        else:
-            raise KeyError(f"unknown activity key: {key}")
-        dynamic += energy
-
-    time_ns = cycles * params.period_ns
-    leakage = params.total_leakage_mw * time_ns  # mW * ns = pJ
-    clock = params.clock_energy_pj_per_cycle * cycles
-    return PowerReport(
-        time_ns=time_ns,
-        dynamic_pj=dynamic,
-        leakage_pj=leakage,
-        clock_pj=clock,
-        per_structure_pj=per_structure,
-    )
-
-
-@dataclass(frozen=True)
-class BatchPowerReport:
-    """Energy of a batch of runs; each field has one entry per run."""
-
-    time_ns: np.ndarray
-    dynamic_pj: np.ndarray
-    leakage_pj: np.ndarray
-    clock_pj: np.ndarray
-
-    @property
-    def total_pj(self) -> np.ndarray:
-        return self.dynamic_pj + self.leakage_pj + self.clock_pj
-
-    @property
-    def power_watts(self) -> np.ndarray:
-        return np.where(
-            self.time_ns > 0, self.total_pj / self.time_ns * 1e-3, 0.0
-        )
-
-
-def account_batch(
-    activity: dict[str, np.ndarray],
-    params: "BatchMachineParams",
-    cycles: np.ndarray,
-) -> BatchPowerReport:
-    """Vectorized :func:`account`: price one activity *array* per key.
-
-    Elementwise equivalent of calling :func:`account` per configuration.
-    The per-key energies are accumulated in the activity dictionary's
-    insertion order, matching the scalar loop's float accumulation, so a
-    batch built with the same key order as the scalar activity dictionary
-    prices bitwise identically.
-    """
-    from repro.timing.resources import ALU_ENERGY_PJ
-
-    dynamic = np.zeros(params.size)
+    dynamic: float | np.ndarray = 0.0
     for key, counts in activity.items():
+        energy: float | np.ndarray
         if key in _ALU_KEYS:
             energy = ALU_ENERGY_PJ[_ALU_KEYS[key]] * counts
         elif key in _ACTIVITY_STRUCTURE:
@@ -185,11 +125,10 @@ def account_batch(
             raise KeyError(f"unknown activity key: {key}")
         dynamic = dynamic + energy
 
-    cycles = np.asarray(cycles, dtype=np.float64)
     time_ns = cycles * params.period_ns
-    return BatchPowerReport(
+    return PowerReport(
         time_ns=time_ns,
         dynamic_pj=dynamic,
-        leakage_pj=params.total_leakage_mw * time_ns,
+        leakage_pj=params.total_leakage_mw * time_ns,  # mW * ns = pJ
         clock_pj=params.clock_energy_pj_per_cycle * cycles,
     )

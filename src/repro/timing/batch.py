@@ -10,9 +10,14 @@ characterisation-dependent lookup tables once per call
 penalties, activity counts and Wattch energy for *all* configurations in
 one vectorized pass.
 
-Every vectorized expression mirrors the scalar evaluator term for term
-(same operation order, float64 throughout), so position ``i`` of a batch
-agrees with ``IntervalEvaluator.evaluate`` on configuration ``i`` bitwise —
+The machine parameters (:func:`~repro.timing.resources.derive_machine_params_arrays`)
+and the Wattch accounting (:func:`~repro.power.wattch.account`) are the
+ones the scalar evaluator uses too.  Only the interval core model (CPI and
+activity counts) is written twice, because a one-row call here costs
+several times the scalar one; every vectorized expression of it mirrors
+the scalar evaluator term for term (same operation order, float64
+throughout), so position ``i`` of a batch agrees with
+``IntervalEvaluator.evaluate`` on configuration ``i`` bitwise —
 ``tests/test_timing_batch.py`` asserts that every result is equal across
 random configurations and characterisations.
 """
@@ -28,7 +33,7 @@ from repro import obs
 from repro.config.configuration import MicroarchConfig
 from repro.config.parameters import PARAMETER_NAMES
 from repro.power.metrics import EfficiencyResult
-from repro.power.wattch import account_batch
+from repro.power.wattch import account
 from repro.timing.characterize import NOMINAL_LOAD_WEIGHT, TraceCharacterization
 from repro.timing.interval import IntervalEvaluator
 from repro.timing.resources import (
@@ -234,13 +239,13 @@ class BatchIntervalEvaluator(IntervalEvaluator):
                 1, np.rint(char.instructions * cpi).astype(np.int64)
             )
             activity = self._activity_v(char, tables, batch, miss)
-            report = account_batch(activity, params, cycles)
+            report = account(activity, params, cycles)
         return BatchEvalResult(
             configs=batch.configs,
             instructions=char.instructions,
             cycles=cycles,
             time_ns=cycles * params.period_ns,
-            energy_pj=report.total_pj,
+            energy_pj=np.asarray(report.total_pj),
         )
 
     def evaluate_many(

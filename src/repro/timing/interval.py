@@ -55,7 +55,7 @@ class IntervalEvaluator:
             instructions=char.instructions,
             cycles=cycles,
             time_ns=cycles * params.period_ns,
-            energy_pj=report.total_pj,
+            energy_pj=float(report.total_pj),
         )
 
     # -- timing ---------------------------------------------------------------

@@ -1,33 +1,36 @@
 """Derived machine parameters for a configuration.
 
 Both timing models (the cycle-level core of :mod:`repro.timing.cycle` and
-the fast interval evaluator of :mod:`repro.timing.interval`) and the Wattch
-power accounting consume the same derived view of a
-:class:`~repro.config.MicroarchConfig`, computed here:
+the fast interval evaluators of :mod:`repro.timing.interval` and
+:mod:`repro.timing.batch`) and the Wattch power accounting consume the
+same derived view of a :class:`~repro.config.MicroarchConfig`, computed
+here:
 
 * clock frequency and pipeline geometry from the FO4-per-stage depth
   parameter (Table I "Depth"), including the branch misprediction penalty
   that grows with pipeline depth;
-* per-structure access latencies in *cycles* (Cacti nanosecond latencies
-  divided by the clock period, so deep pipelines see multi-cycle
-  structures);
-* per-access energies and leakage per structure, from the same Cacti model.
+* per-structure access latencies in nanoseconds and as fractions of the
+  clock period, so deep pipelines see multi-cycle structures;
+* per-access energies and leakage per structure, from the Cacti model.
 
-Keeping this in one place guarantees that every evaluator in the repository
-prices a configuration identically.
+:func:`derive_machine_params_arrays` holds the only copy of these
+formulas and derives a whole batch of configurations at once.
+:func:`derive_machine_params` is its memoized one-row view; it adds only
+the whole-cycle latencies the cycle-level core reads.  So every evaluator
+in the repository prices a configuration identically.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.config.configuration import MicroarchConfig
-from repro.power.cacti import ArrayCosts, ArrayGeometry, CactiModel
+from repro.power.cacti import ArrayCosts, CactiModel
 
 __all__ = [
     "MachineParams",
@@ -95,7 +98,8 @@ class OpClass:
 @dataclass(frozen=True)
 class StructureCosts:
     """Per-access dynamic energy (pJ), leakage (mW), latency (cycles) and
-    transistor count of one structure instance."""
+    transistor count of one structure instance: one row of
+    :class:`~repro.power.cacti.ArrayCosts`, plus its whole-cycle latency."""
 
     read_energy_pj: float
     write_energy_pj: float
@@ -145,79 +149,48 @@ class MachineParams:
     # Per-cycle clock/latch energy, picojoules.
     clock_energy_pj_per_cycle: float
 
-    @property
-    def total_leakage_mw(self) -> float:
-        return sum(s.leakage_mw for s in self.structures.values())
+    # Leakage of every structure together, milliwatts.
+    total_leakage_mw: float
 
     def cycles_for_ns(self, nanoseconds: float) -> int:
-        return max(1, math.ceil(nanoseconds / self.period_ns - 1e-9))
+        return _whole_cycles(nanoseconds, self.period_ns)
 
 
-def _structure_geometries(config: MicroarchConfig) -> dict[str, ArrayGeometry]:
-    """Array geometries for every sized structure of the design space."""
-    width = config.width
-    mem_ports = max(1, width // 2)
-    block_bits = CACHE_BLOCK_BYTES * 8 + 40  # data + tag/state
-    return {
-        "rob": ArrayGeometry(config.rob_size, 96, width, width),
-        "iq": ArrayGeometry(
-            config.iq_size, 64, width, width, is_cam=True, tag_bits=16
-        ),
-        "lsq": ArrayGeometry(
-            config.lsq_size, 80, mem_ports, mem_ports, is_cam=True, tag_bits=40
-        ),
-        # Two register files (integer and floating point) share the RF
-        # size/port parameters; "rf" costs one file.
-        "rf": ArrayGeometry(
-            config.rf_size, 64, config.rf_rd_ports, config.rf_wr_ports
-        ),
-        "gshare": ArrayGeometry(config.gshare_size, 2, 1, 1),
-        "btb": ArrayGeometry(config.btb_size, 64, 1, 1),
-        # Caches are banked: bandwidth comes from the simulator's memory-port
-        # pool, so the arrays themselves are single-ported.
-        "icache": ArrayGeometry(config.icache_size // CACHE_BLOCK_BYTES, block_bits),
-        "dcache": ArrayGeometry(
-            config.dcache_size // CACHE_BLOCK_BYTES, block_bits
-        ),
-        "l2": ArrayGeometry(config.l2_size // CACHE_BLOCK_BYTES, block_bits),
-    }
+def _whole_cycles(nanoseconds: float, period_ns: float) -> int:
+    return max(1, math.ceil(nanoseconds / period_ns - 1e-9))
 
 
 @lru_cache(maxsize=16384)
-def derive_machine_params(
-    config: MicroarchConfig, cacti: CactiModel | None = None
-) -> MachineParams:
-    """Compute the :class:`MachineParams` for ``config``.
+def derive_machine_params(config: MicroarchConfig) -> MachineParams:
+    """The :class:`MachineParams` of ``config``.
 
-    Memoized on the (hashable, frozen) ``config``: a phase sweep prices the
-    same shared pool against every phase, and both the scalar evaluator and
-    the cycle simulator re-derive identical params hundreds of times —
-    callers must leave ``cacti`` at its default to share cache entries.
-    The cache holds comfortably more entries than a paper-scale sweep
-    (1,298 configs/phase) touches.
+    Row 0 of :func:`derive_machine_params_arrays` over ``config`` alone,
+    as Python numbers, plus the whole-cycle latencies the cycle-level
+    core reads.  Memoized on the (hashable, frozen) ``config``: a
+    one-row array derivation costs a few hundred microseconds, and the
+    scalar evaluator, the cycle simulator and the reconfiguration model
+    re-derive identical params many times.  The cache holds comfortably
+    more entries than a paper-scale sweep (1,298 configs/phase) touches.
     """
-    cacti = cacti or _DEFAULT_CACTI
-    period_ns = config.depth_fo4 * FO4_DELAY_PS / 1000.0
-    frequency_ghz = 1.0 / period_ns
-    pipeline_stages = max(5, math.ceil(TOTAL_PIPELINE_FO4 / config.depth_fo4))
-    frontend_stages = max(2, math.ceil(FRONTEND_FO4 / config.depth_fo4))
-    mispredict_penalty = frontend_stages + MISPREDICT_FIXED_CYCLES
+    row = derive_machine_params_arrays(
+        {name: [value] for name, value in config.as_dict().items()}
+    )
+    period_ns = row.period_ns.item()
 
     def cycles(ns: float) -> int:
-        return max(1, math.ceil(ns / period_ns - 1e-9))
+        return _whole_cycles(ns, period_ns)
 
-    structures: dict[str, StructureCosts] = {}
-    for name, geometry in _structure_geometries(config).items():
-        latency_ns = cacti.access_latency_ns(geometry)
-        structures[name] = StructureCosts(
-            read_energy_pj=cacti.read_energy_pj(geometry),
-            write_energy_pj=cacti.write_energy_pj(geometry),
-            leakage_mw=cacti.leakage_mw(geometry)
-            * (2.0 if name == "rf" else 1.0),  # int + fp files
-            latency_cycles=cycles(latency_ns),
-            latency_ns=latency_ns,
-            transistors=cacti.transistors(geometry),
+    structures = {
+        name: StructureCosts(
+            read_energy_pj=costs.read_energy_pj.item(),
+            write_energy_pj=costs.write_energy_pj.item(),
+            leakage_mw=costs.leakage_mw.item(),
+            latency_cycles=cycles(costs.latency_ns.item()),
+            latency_ns=costs.latency_ns.item(),
+            transistors=costs.transistors.item(),
         )
+        for name, costs in row.structures.items()
+    }
 
     def fu_cycles(fo4: float) -> int:
         return max(1, round(fo4 / config.depth_fo4))
@@ -234,47 +207,41 @@ def derive_machine_params(
 
     return MachineParams(
         config=config,
-        frequency_ghz=frequency_ghz,
+        frequency_ghz=row.frequency_ghz.item(),
         period_ns=period_ns,
-        pipeline_stages=pipeline_stages,
-        frontend_stages=frontend_stages,
-        mispredict_penalty=mispredict_penalty,
-        int_alus=config.width,
-        fp_units=max(1, config.width // 2),
-        mem_ports=max(1, config.width // 2),
+        pipeline_stages=int(row.pipeline_stages.item()),
+        frontend_stages=int(row.frontend_stages.item()),
+        mispredict_penalty=int(row.mispredict_penalty.item()),
+        int_alus=int(row.int_alus.item()),
+        fp_units=int(row.fp_units.item()),
+        mem_ports=int(row.mem_ports.item()),
         op_latency=op_latency,
         icache_latency=structures["icache"].latency_cycles,
         dcache_latency=structures["dcache"].latency_cycles,
         l2_latency=structures["l2"].latency_cycles,
         memory_latency=cycles(MEMORY_LATENCY_NS),
-        dcache_latency_f=max(1.0, structures["dcache"].latency_ns / period_ns),
-        l2_latency_f=max(1.0, structures["l2"].latency_ns / period_ns),
-        memory_latency_f=max(1.0, MEMORY_LATENCY_NS / period_ns),
-        ialu_latency_f=max(1.0, ALU_LATENCY_FO4["ialu"] / config.depth_fo4),
+        dcache_latency_f=row.dcache_latency_f.item(),
+        l2_latency_f=row.l2_latency_f.item(),
+        memory_latency_f=row.memory_latency_f.item(),
+        ialu_latency_f=row.ialu_latency_f.item(),
         structures=structures,
-        clock_energy_pj_per_cycle=LATCH_ENERGY_PJ
-        * config.width
-        * pipeline_stages,
+        clock_energy_pj_per_cycle=row.clock_energy_pj_per_cycle.item(),
+        total_leakage_mw=row.total_leakage_mw.item(),
     )
 
 
-_DEFAULT_CACTI = CactiModel()
+_CACTI = CactiModel()
 
 
 @dataclass(frozen=True)
 class BatchMachineParams:
     """Machine parameters for a whole batch of configurations at once.
 
-    The array-friendly counterpart of :class:`MachineParams`: every field is
-    a float64 array with one entry per configuration, computed with the same
-    formulas (term for term) as :func:`derive_machine_params`, so position
-    ``i`` agrees bitwise with the scalar derivation of configuration ``i``.
-    Only the fields the analytical evaluator and the Wattch accounting
-    consume are materialised; the cycle-level core keeps using the scalar
-    path.
+    Every field is a float64 array with one entry per configuration.
+    :func:`derive_machine_params` turns a batch of one into a
+    :class:`MachineParams`.
     """
 
-    size: int
     period_ns: np.ndarray
     frequency_ghz: np.ndarray
     pipeline_stages: np.ndarray
@@ -289,24 +256,20 @@ class BatchMachineParams:
     ialu_latency_f: np.ndarray
     clock_energy_pj_per_cycle: np.ndarray
     total_leakage_mw: np.ndarray
-    #: Per-structure vectorized costs, same keys as ``MachineParams.structures``.
+    #: Per-structure costs, same keys as ``MachineParams.structures``.
     structures: dict[str, ArrayCosts]
 
 
 def derive_machine_params_arrays(
     values: Mapping[str, np.ndarray | Sequence[int]],
-    cacti: CactiModel | None = None,
 ) -> BatchMachineParams:
-    """Vectorized :func:`derive_machine_params` over parameter arrays.
+    """Machine parameters of every configuration of a batch.
 
     Args:
         values: one integer array per Table I parameter name (as produced
             by ``repro.timing.batch.ConfigBatch``), all of equal length.
-        cacti: structure cost model (default shared instance).
     """
-    cacti = cacti or _DEFAULT_CACTI
     p = {name: np.asarray(array, dtype=np.int64) for name, array in values.items()}
-    n = len(p["depth_fo4"])
     depth = p["depth_fo4"].astype(np.float64)
     width = p["width"]
     width_f = width.astype(np.float64)
@@ -316,39 +279,32 @@ def derive_machine_params_arrays(
     pipeline_stages = np.maximum(5.0, np.ceil(TOTAL_PIPELINE_FO4 / depth))
     frontend_stages = np.maximum(2.0, np.ceil(FRONTEND_FO4 / depth))
 
-    block_bits = CACHE_BLOCK_BYTES * 8 + 40
+    block_bits = CACHE_BLOCK_BYTES * 8 + 40  # data + tag/state
+    rf = _CACTI.batch_costs(p["rf_size"], 64, p["rf_rd_ports"], p["rf_wr_ports"])
     structures = {
-        "rob": cacti.batch_costs(p["rob_size"], 96, width, width),
-        "iq": cacti.batch_costs(
+        "rob": _CACTI.batch_costs(p["rob_size"], 96, width, width),
+        "iq": _CACTI.batch_costs(
             p["iq_size"], 64, width, width, is_cam=True, tag_bits=16
         ),
-        "lsq": cacti.batch_costs(
+        "lsq": _CACTI.batch_costs(
             p["lsq_size"], 80, mem_ports, mem_ports, is_cam=True, tag_bits=40
         ),
-        "rf": cacti.batch_costs(p["rf_size"], 64, p["rf_rd_ports"], p["rf_wr_ports"]),
-        "gshare": cacti.batch_costs(p["gshare_size"], 2),
-        "btb": cacti.batch_costs(p["btb_size"], 64),
-        "icache": cacti.batch_costs(p["icache_size"] // CACHE_BLOCK_BYTES, block_bits),
-        "dcache": cacti.batch_costs(p["dcache_size"] // CACHE_BLOCK_BYTES, block_bits),
-        "l2": cacti.batch_costs(p["l2_size"] // CACHE_BLOCK_BYTES, block_bits),
+        # Two register files (integer and floating point) share the RF
+        # size/port parameters; "rf" costs one file but leaks for two.
+        "rf": replace(rf, leakage_mw=rf.leakage_mw * 2.0),
+        "gshare": _CACTI.batch_costs(p["gshare_size"], 2),
+        "btb": _CACTI.batch_costs(p["btb_size"], 64),
+        # Caches are banked: bandwidth comes from the simulator's memory-port
+        # pool, so the arrays themselves are single-ported.
+        "icache": _CACTI.batch_costs(p["icache_size"] // CACHE_BLOCK_BYTES, block_bits),
+        "dcache": _CACTI.batch_costs(p["dcache_size"] // CACHE_BLOCK_BYTES, block_bits),
+        "l2": _CACTI.batch_costs(p["l2_size"] // CACHE_BLOCK_BYTES, block_bits),
     }
-    rf = structures["rf"]
-    structures["rf"] = ArrayCosts(  # int + fp files, as in the scalar path
-        latency_ns=rf.latency_ns,
-        read_energy_pj=rf.read_energy_pj,
-        write_energy_pj=rf.write_energy_pj,
-        leakage_mw=rf.leakage_mw * 2.0,
-        transistors=rf.transistors,
-    )
-
-    # Sum leakage in the same structure order as the scalar path so the
-    # float accumulation matches bitwise.
-    total_leakage = np.zeros(n)
-    for costs in structures.values():
+    total_leakage = np.zeros(len(period_ns))
+    for costs in structures.values():  # in structure order, left to right
         total_leakage = total_leakage + costs.leakage_mw
 
     return BatchMachineParams(
-        size=n,
         period_ns=period_ns,
         frequency_ghz=1.0 / period_ns,
         pipeline_stages=pipeline_stages,

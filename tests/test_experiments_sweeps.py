@@ -65,18 +65,6 @@ class TestRunPhaseSweep:
         with pytest.raises(ValueError):
             run_phase_sweep(char, [], neighbour_count=5, seed=0)
 
-    def test_batch_and_scalar_evaluators_agree(self, char, pool):
-        """The default batch engine reproduces the seed's scalar loop."""
-        from repro.timing import IntervalEvaluator
-
-        batched = run_phase_sweep(char, pool, neighbour_count=5, seed=9)
-        scalar = run_phase_sweep(char, pool, neighbour_count=5, seed=9,
-                                 evaluator=IntervalEvaluator())
-        assert set(batched.evaluations) == set(scalar.evaluations)
-        for config, result in batched.evaluations.items():
-            assert result == scalar.evaluations[config]
-        assert batched.best == scalar.best
-
     def test_duplicate_pool_entries_priced_once(self, char, pool):
         sweep = run_phase_sweep(char, list(pool) + list(pool),
                                 neighbour_count=5, seed=0)

@@ -1,82 +1,71 @@
 """Tests for the Cacti-style scaling model."""
 
+import numpy as np
 import pytest
 
-from repro.power import ArrayGeometry, CactiModel
+from repro.power import ArrayCosts, CactiModel
 
 
-@pytest.fixture(scope="module")
-def cacti():
-    return CactiModel()
+def costs(entries: int, entry_bits: int, read_ports: int = 1,
+          write_ports: int = 1, **cam) -> ArrayCosts:
+    """The costs of one array, as a batch of one."""
+    return CactiModel().batch_costs(np.array([entries]), entry_bits,
+                                    read_ports, write_ports, **cam)
 
 
-def cache_geometry(size_kib: int, ports: int = 1) -> ArrayGeometry:
-    return ArrayGeometry(size_kib * 1024 // 64, 64 * 8 + 40,
-                         read_ports=ports, write_ports=ports)
+def cache_costs(size_kib: int, ports: int = 1) -> ArrayCosts:
+    return costs(size_kib * 1024 // 64, 64 * 8 + 40, ports, ports)
 
 
 class TestGeometry:
     def test_total_bits(self):
-        geometry = ArrayGeometry(128, 64)
-        assert geometry.total_bits == 128 * 64
+        # 6T cells plus two transistors per bit for the second port.
+        assert costs(128, 64).transistors[0] == 8.0 * 128 * 64
 
     def test_cam_adds_tag_bits(self):
-        geometry = ArrayGeometry(32, 64, is_cam=True, tag_bits=16)
-        assert geometry.total_bits == 32 * 80
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ArrayGeometry(0, 64)
-        with pytest.raises(ValueError):
-            ArrayGeometry(16, 64, read_ports=0)
-        with pytest.raises(ValueError):
-            ArrayGeometry(16, 64, is_cam=True)  # needs tag bits
+        assert costs(32, 64, is_cam=True, tag_bits=16).transistors[0] == \
+            8.0 * 32 * 80
 
 
 class TestScalingLaws:
-    def test_latency_grows_with_size(self, cacti):
-        assert cacti.access_latency_ns(cache_geometry(128)) > \
-            cacti.access_latency_ns(cache_geometry(8))
+    def test_latency_grows_with_size(self):
+        assert cache_costs(128).latency_ns[0] > cache_costs(8).latency_ns[0]
 
-    def test_latency_grows_with_ports(self, cacti):
-        few = ArrayGeometry(160, 64, 2, 1)
-        many = ArrayGeometry(160, 64, 16, 8)
-        assert cacti.access_latency_ns(many) > cacti.access_latency_ns(few)
+    def test_latency_grows_with_ports(self):
+        few = costs(160, 64, 2, 1)
+        many = costs(160, 64, 16, 8)
+        assert many.latency_ns[0] > few.latency_ns[0]
 
-    def test_cam_latency_grows_with_entries(self, cacti):
-        small = ArrayGeometry(8, 64, is_cam=True, tag_bits=16)
-        large = ArrayGeometry(80, 64, is_cam=True, tag_bits=16)
-        assert cacti.access_latency_ns(large) > cacti.access_latency_ns(small)
+    def test_cam_latency_grows_with_entries(self):
+        small = costs(8, 64, is_cam=True, tag_bits=16)
+        large = costs(80, 64, is_cam=True, tag_bits=16)
+        assert large.latency_ns[0] > small.latency_ns[0]
 
-    def test_energy_grows_with_size(self, cacti):
-        assert cacti.read_energy_pj(cache_geometry(128)) > \
-            cacti.read_energy_pj(cache_geometry(8))
+    def test_energy_grows_with_size(self):
+        assert cache_costs(128).read_energy_pj[0] > \
+            cache_costs(8).read_energy_pj[0]
 
-    def test_write_costs_more_than_read(self, cacti):
-        geometry = cache_geometry(32)
-        assert cacti.write_energy_pj(geometry) > cacti.read_energy_pj(geometry)
+    def test_write_costs_more_than_read(self):
+        l1 = cache_costs(32)
+        assert l1.write_energy_pj[0] > l1.read_energy_pj[0]
 
-    def test_port_energy_superlinear(self, cacti):
-        one = ArrayGeometry(160, 64, 1, 1)
-        eight = ArrayGeometry(160, 64, 8, 8)
-        ratio = cacti.read_energy_pj(eight) / cacti.read_energy_pj(one)
-        assert ratio > 2.0
+    def test_port_energy_superlinear(self):
+        one = costs(160, 64, 1, 1)
+        eight = costs(160, 64, 8, 8)
+        assert eight.read_energy_pj[0] / one.read_energy_pj[0] > 2.0
 
-    def test_leakage_proportional_to_bits(self, cacti):
-        small = cache_geometry(256)
-        large = cache_geometry(1024)
-        ratio = cacti.leakage_mw(large) / cacti.leakage_mw(small)
+    def test_leakage_proportional_to_bits(self):
+        ratio = cache_costs(1024).leakage_mw[0] / cache_costs(256).leakage_mw[0]
         assert ratio == pytest.approx(4.0, rel=0.01)
 
-    def test_transistor_count_scales(self, cacti):
-        assert cacti.transistors(cache_geometry(64)) > \
-            cacti.transistors(cache_geometry(8))
+    def test_transistor_count_scales(self):
+        assert cache_costs(64).transistors[0] > cache_costs(8).transistors[0]
 
-    def test_absolute_plausibility(self, cacti):
+    def test_absolute_plausibility(self):
         """A 32KB L1 should read in ~1ns for tens of pJ."""
-        l1 = cache_geometry(32)
-        assert 0.4 < cacti.access_latency_ns(l1) < 3.0
-        assert 10 < cacti.read_energy_pj(l1) < 400
-        l2 = cache_geometry(4096)
-        assert cacti.access_latency_ns(l2) < 10.0
-        assert cacti.leakage_mw(l2) > 100  # a 4MB array leaks watts-ish
+        l1 = cache_costs(32)
+        assert 0.4 < l1.latency_ns[0] < 3.0
+        assert 10 < l1.read_energy_pj[0] < 400
+        l2 = cache_costs(4096)
+        assert l2.latency_ns[0] < 10.0
+        assert l2.leakage_mw[0] > 100  # a 4MB array leaks watts-ish

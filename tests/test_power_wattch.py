@@ -3,7 +3,9 @@
 import pytest
 
 from repro.power import account
+from repro.power.wattch import MEMORY_ACCESS_PJ
 from repro.timing import CycleSimulator, derive_machine_params
+from repro.timing.resources import ALU_ENERGY_PJ
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +64,13 @@ class TestAccount:
     def test_l2_misses_priced_as_memory_traffic(self, params):
         without = account(base_activity(l2_miss=0), params, cycles=3000)
         with_misses = account(base_activity(l2_miss=100), params, cycles=3000)
-        assert with_misses.per_structure_pj["memory_bus"] > 0
-        assert with_misses.dynamic_pj > without.dynamic_pj
+        assert with_misses.dynamic_pj - without.dynamic_pj == pytest.approx(
+            100 * MEMORY_ACCESS_PJ)
+        # L1 misses are priced through their l2_access events instead.
+        l1_misses = account(base_activity(icache_miss=500, dcache_miss=500),
+                            params, cycles=3000)
+        assert l1_misses.dynamic_pj == account(
+            base_activity(), params, cycles=3000).dynamic_pj
 
     def test_unknown_activity_key_rejected(self, params):
         with pytest.raises(KeyError):
@@ -74,9 +81,33 @@ class TestAccount:
         assert report.dynamic_pj == 0.0
 
     def test_per_structure_breakdown_sums(self, params):
-        report = account(base_activity(), params, cycles=3000)
-        assert sum(report.per_structure_pj.values()) == pytest.approx(
-            report.dynamic_pj)
+        """Dynamic energy is each structure's accesses times its per-access
+        energy, plus ALU operations and memory-bus transfers."""
+        activity = base_activity()
+        rf = params.structures["rf"]
+        expected = {
+            "alu": sum(ALU_ENERGY_PJ[key[:-3]] * activity[key]
+                       for key in ("ialu_op", "imul_op", "falu_op", "fmul_op")),
+            "memory_bus": MEMORY_ACCESS_PJ * activity["l2_miss"],
+            "rf": rf.read_energy_pj * (activity["rf_read_int"]
+                                       + activity["rf_read_fp"])
+            + rf.write_energy_pj * (activity["rf_write_int"]
+                                    + activity["rf_write_fp"]),
+        }
+        for name in ("icache", "dcache", "l2", "gshare", "btb"):
+            expected[name] = (params.structures[name].read_energy_pj
+                              * activity[f"{name}_access"])
+        iq, rob, lsq = (params.structures[n] for n in ("iq", "rob", "lsq"))
+        expected["iq"] = (iq.write_energy_pj * activity["iq_write"]
+                          + iq.read_energy_pj * (activity["iq_wakeup"]
+                                                 + activity["iq_select"]))
+        expected["rob"] = (rob.write_energy_pj * activity["rob_write"]
+                           + rob.read_energy_pj * activity["rob_read"])
+        expected["lsq"] = (lsq.write_energy_pj * activity["lsq_write"]
+                           + lsq.read_energy_pj * activity["lsq_search"])
+        assert set(expected) == set(params.structures) | {"alu", "memory_bus"}
+        report = account(activity, params, cycles=3000)
+        assert report.dynamic_pj == pytest.approx(sum(expected.values()))
 
     def test_cycle_sim_activity_prices_cleanly(self, params, small_trace):
         """The simulator's activity vocabulary matches the accountant's."""

@@ -17,7 +17,9 @@ infinity), in the feature and deadline positions where it is converted
 to a float.  One longer than the interpreter's int/str digit limit
 makes ``json.loads`` itself raise ``ValueError``, which the reference
 lets out and the production parser answers as invalid JSON; the
-parametrized cases at the end cover both.
+parametrized cases at the end cover both.  So does a frame nested
+deeper than the recursion limit, on which ``json.loads`` raises
+``RecursionError``.
 """
 
 from __future__ import annotations
@@ -144,6 +146,8 @@ past_limit = pytest.mark.skipif(
     pytest.param(b'{"id": "a", "features": [1.0], "deadline_ms": '
                  + PAST_LIMIT + b"}", ValueError, None, None,
                  marks=past_limit, id="digit-limit-deadline"),
+    pytest.param(b'{"id": "deep", "features": ' + b"[" * 60_000,
+                 RecursionError, None, None, id="nesting-past-recursion-limit"),
 ])
 def test_huge_integers_are_rejected_where_the_reference_raised(
         frame, raised, reason, request_id):

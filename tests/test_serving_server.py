@@ -231,6 +231,28 @@ class TestMalformedFrames:
         assert long_feature.status == "error"
         assert ok.status == "ok" and ok.id == "ok-after"
 
+    def test_too_deeply_nested_frame_answers_error_and_keeps_connection(
+            self, store_path, features):
+        # Nested past the recursion limit but inside the frame size cap,
+        # so json.loads raises RecursionError rather than ValueError.
+        deep = b'{"id": "deep", "features": ' + b"[" * 60_000 + b"\n"
+
+        async def scenario():
+            server = service(store_path)
+            await server.start()
+            responses = await send_frames(server.port, [
+                deep,
+                {"id": "ok-after", "features": list(features[0])},
+            ])
+            await server.drain()
+            return server, responses
+
+        server, responses = asyncio.run(scenario())
+        assert [r.status for r in responses] == ["error", "ok"]
+        assert responses[0].reason.startswith("invalid JSON")
+        assert responses[1].id == "ok-after"
+        assert server.stats()["malformed"] == 1
+
     def test_oversized_frame_answers_error_then_closes(self, store_path):
         async def scenario():
             server = service(store_path)

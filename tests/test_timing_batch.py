@@ -1,6 +1,8 @@
 """Batch/scalar equivalence: the vectorized evaluator must price every
 configuration exactly like the scalar interval evaluator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,6 @@ from repro.timing import (
     derive_machine_params_arrays,
 )
 from repro.workloads import PhaseSpec, TraceGenerator
-
-RTOL = 1e-9
 
 #: Characterisations spanning compute-bound, memory-bound and FP-streaming
 #: behaviour, so every CPI term (branch, data, instruction side) is active.
@@ -101,28 +101,20 @@ class TestEquivalence:
 
 class TestBatchMachineParams:
     def test_matches_scalar_derivation(self, configs):
+        """Row i of a many-configuration batch equals the one-row view."""
         packed = ConfigBatch(configs)
         params = derive_machine_params_arrays(packed.params)
+        names = [f.name for f in dataclasses.fields(params)
+                 if f.name != "structures"]
         for i, config in enumerate(configs):
             scalar = derive_machine_params(config)
-            assert params.period_ns[i] == pytest.approx(
-                scalar.period_ns, rel=RTOL)
-            assert params.mispredict_penalty[i] == scalar.mispredict_penalty
-            assert params.dcache_latency_f[i] == pytest.approx(
-                scalar.dcache_latency_f, rel=RTOL)
-            assert params.l2_latency_f[i] == pytest.approx(
-                scalar.l2_latency_f, rel=RTOL)
-            assert params.total_leakage_mw[i] == pytest.approx(
-                scalar.total_leakage_mw, rel=RTOL)
-            assert params.clock_energy_pj_per_cycle[i] == pytest.approx(
-                scalar.clock_energy_pj_per_cycle, rel=RTOL)
+            for name in names:
+                assert getattr(params, name)[i] == getattr(scalar, name), name
+            assert params.structures.keys() == scalar.structures.keys()
             for name, costs in params.structures.items():
-                assert costs.read_energy_pj[i] == pytest.approx(
-                    scalar.structures[name].read_energy_pj, rel=RTOL), name
-                assert costs.write_energy_pj[i] == pytest.approx(
-                    scalar.structures[name].write_energy_pj, rel=RTOL), name
-                assert costs.leakage_mw[i] == pytest.approx(
-                    scalar.structures[name].leakage_mw, rel=RTOL), name
+                for field in dataclasses.fields(costs):
+                    assert getattr(costs, field.name)[i] == getattr(
+                        scalar.structures[name], field.name), (name, field)
 
 
 class TestConfigBatch:
