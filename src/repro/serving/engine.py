@@ -130,6 +130,9 @@ class SupervisedModelEngine:
                             batch_key: str) -> list[MicroarchConfig]:
         """Answer one micro-batch; fault-injection hooks live here.
 
+        Awaits nothing unless a ``hang`` or ``slow`` fault is injected;
+        the ladder bounds that wait by its remaining engine budget.
+
         Raises:
             EngineCrashError: injected (or real) engine death; the
                 model is discarded so the next batch warm-reloads it.

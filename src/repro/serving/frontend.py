@@ -4,8 +4,9 @@
 and deliberately nothing else (the data plane is entirely inside the
 shards):
 
-* **Topology** — spawn ``REPRO_SERVE_SHARDS`` worker processes
-  (``spawn`` start method: no forked event loops, and the page-sharing
+* **Topology** — spawn ``REPRO_SERVE_SHARDS`` worker processes (at
+  most one per usable CPU unless ``shards`` is given explicitly;
+  ``spawn`` start method: no forked event loops, and the page-sharing
   numbers are honest rather than copy-on-write leftovers), all
   accepting on one ``(host, port)``.  Preferred mechanism is
   ``SO_REUSEPORT`` — each shard binds its own socket and the kernel
@@ -31,6 +32,8 @@ caller's own cadence (the drill and the soak bench call
 
 from __future__ import annotations
 
+import functools
+import logging
 import multiprocessing
 import os
 import signal
@@ -45,14 +48,34 @@ from repro.serving.shard import ShardSpec, shard_main
 __all__ = ["ShardSupervisor", "default_shard_count", "reuse_port_supported"]
 
 _ENV_SHARDS = "REPRO_SERVE_SHARDS"
+_log = logging.getLogger(__name__)
 
 
 def default_shard_count() -> int:
-    """``REPRO_SERVE_SHARDS`` (default 1, floor 1)."""
+    """``REPRO_SERVE_SHARDS`` (default 1), between 1 and the usable CPUs.
+
+    Shards beyond the CPUs this process may run on only compete for
+    them, so the environment default stops there; an explicit
+    ``ShardSupervisor(shards=N)`` can still overcommit.
+    """
     try:
-        return max(1, int(os.environ.get(_ENV_SHARDS, "1")))
+        requested = max(1, int(os.environ.get(_ENV_SHARDS, "1")))
     except ValueError:
         return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    if requested > cpus:
+        _log_cap(requested, cpus)
+        return cpus
+    return requested
+
+
+@functools.cache
+def _log_cap(requested: int, cpus: int) -> None:
+    _log.warning("%s=%d exceeds the %d usable CPUs: running %d shards",
+                 _ENV_SHARDS, requested, cpus, cpus)
 
 
 def reuse_port_supported() -> bool:
@@ -84,7 +107,8 @@ class ShardSupervisor:
     Args:
         store_path: the weight-store directory every shard serves from
             (and the hot-reload watch target).
-        shards: fleet size; defaults to ``REPRO_SERVE_SHARDS``.
+        shards: fleet size; defaults to :func:`default_shard_count`
+            (``REPRO_SERVE_SHARDS``, capped at the usable CPUs).
         host/port: the fleet's single listen address (port 0 lets the
             supervisor pick; read :attr:`port` back after
             :meth:`start`).

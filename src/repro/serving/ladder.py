@@ -112,7 +112,9 @@ class DegradationLadder:
         budget remains; each attempt's outcome feeds the breaker.
         Falls through to :meth:`fallback` otherwise — this method never
         raises and never exceeds ``engine_budget_s`` by more than one
-        event-loop scheduling quantum.
+        event-loop scheduling quantum.  An engine runs inline in the
+        caller's task and suspends only to enact an injected hang or
+        slow batch, which the remaining budget cuts short.
         """
         matrix = np.asarray(features, dtype=np.float64)
         budget_ends = self.clock() + self.engine_budget_s
@@ -126,10 +128,10 @@ class DegradationLadder:
             try:
                 with obs.span("serve.engine_batch", tier=engine.tier,
                               rows=len(matrix)):
-                    configs = await asyncio.wait_for(
-                        engine.predict_batch(matrix, batch_key),
-                        timeout=remaining)
-            except asyncio.TimeoutError:
+                    async with asyncio.timeout(remaining):
+                        configs = await engine.predict_batch(
+                            matrix, batch_key)
+            except TimeoutError:
                 self.breaker.record_failure()
                 obs.inc("serve.engine_timeout")
                 obs.inc(f"serve.engine_timeout.{engine.tier}")

@@ -2,12 +2,20 @@
 
 Request lifecycle::
 
-    readline → parse → admit (bounded queue) → micro-batch → ladder
-             ↘ malformed: error frame   ↘ full/draining: shed frame
+    data_received → split lines → parse → admit (bounded queue)
+                    ↘ malformed: error frame   ↘ full/draining: shed frame
+    batch loop → ladder (engine inline) → encode → one write per connection
 
-Batching is work-conserving: the batch loop takes the oldest queued
-request as soon as the engine is free, together with whatever else
-queued behind it (up to ``max_batch_size``), and never waits for more.
+Each connection is an :class:`asyncio.Protocol`: the transport hands it
+bytes, and it splits, parses and admits every complete frame in that
+same callback.  The batch loop is the server's only Task.  It wakes when
+the queue gets a request, takes whatever else queued behind it (up to
+``max_batch_size``) and answers the batch in one pass: the ladder calls
+the engine inline, and each connection's responses go out in one
+``transport.write``.  Batching is therefore work-conserving: a batch is
+what queued while the shard was busy, and nothing waits for more.  A
+lone request costs two event-loop iterations (its frame arrives, the
+batch loop wakes) and creates no Task.
 
 Robustness properties, each load-bearing:
 
@@ -15,16 +23,22 @@ Robustness properties, each load-bearing:
   requests; beyond that the server *sheds* with an explicit response
   instead of buffering without bound.  The client sees backpressure
   the moment it exists.
+* **A slow reader stalls only itself** — the batch loop never waits for
+  a client to read.  When a connection's transport pauses writing (its
+  client stopped reading), the server stops reading that connection's
+  frames until the transport resumes, so its write buffer grows by at
+  most ``queue_limit`` responses and every other connection is served
+  as before.
 * **Deadline propagation** — requests that can no longer afford the
-  engine budget when their batch starts are answered immediately from
-  the fallback chain
-  (:meth:`~repro.serving.ladder.DegradationLadder.fallback`).
+  engine budget when their batch starts are answered at once from the
+  fallback chain
+  (:meth:`~repro.serving.ladder.DegradationLadder.fallback`), before the
+  engine runs for the rest of the batch.
 * **Fault isolation** — a malformed frame poisons neither its
   connection nor its neighbours; an engine crash degrades the current
   batch and the supervisor warm-reloads weights for the next.
-* **Drain on SIGTERM** — :meth:`drain` stops the listener, sheds
-  what is still queued, lets the in-flight batch finish, and flushes
-  every connection before returning.
+* **Drain on SIGTERM** — :meth:`drain` stops the listener, sheds new
+  frames, answers what is still queued and stops the batch loop.
 
 All counters/gauges/histograms go through :mod:`repro.obs`
 (``REPRO_OBS=1``), with one histogram per stage of a served request
@@ -40,7 +54,7 @@ import asyncio
 import signal
 import socket
 from collections import Counter
-from typing import Awaitable, Callable
+from typing import Sequence
 
 from repro import obs
 from repro.config.configuration import MicroarchConfig
@@ -57,34 +71,68 @@ from repro.testing import faults
 __all__ = ["PredictionServer"]
 
 
-class _Connection:
-    """Per-connection write ordering: responses for one socket are
-    serialised through a lock because batch completions interleave."""
+class _Connection(asyncio.Protocol):
+    """One client socket: frames in through :meth:`data_received`,
+    responses out through :meth:`write`, which never waits."""
 
-    def __init__(self, writer: asyncio.StreamWriter,
-                 clock: Callable[[], float]) -> None:
-        self.writer = writer
-        self.lock = asyncio.Lock()
-        self.clock = clock
+    transport: asyncio.Transport
 
-    async def send(self, response: PredictResponse) -> bool:
-        async with self.lock:
-            if self.writer.is_closing():
-                return False
-            started = self.clock()
-            frame = response.encode()
-            obs.observe("serve.encode_ms", (self.clock() - started) * 1e3)
-            self.writer.write(frame)
-            try:
-                await self.writer.drain()
-            except (ConnectionError, OSError):
-                return False
-        return True
+    def __init__(self, server: PredictionServer) -> None:
+        self.server = server
+        self._unread = b""
+        self._paused = False
 
-    def abort(self) -> None:
-        transport = self.writer.transport
-        if transport is not None:
-            transport.abort()
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._unread += data
+        self._read_frames()
+
+    def pause_writing(self) -> None:
+        # The client stopped reading: read none of its frames until it
+        # catches up, so that only its own requests wait.
+        self._paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self.transport.resume_reading()
+        self._read_frames()
+
+    def _read_frames(self) -> None:
+        """Handle every complete frame read so far, unless paused."""
+        data, start = self._unread, 0
+        while not (self._paused or self.transport.is_closing()):
+            end = data.find(b"\n", start)
+            if end < 0:
+                if len(data) - start >= MAX_FRAME_BYTES:
+                    start = len(data)
+                    self._overrun()
+                break
+            line, start = data[start:end], end + 1
+            if len(line) >= MAX_FRAME_BYTES:
+                self._overrun()
+            elif line.strip():
+                self.server._handle_frame(line, self)
+        self._unread = data[start:]
+
+    def _overrun(self) -> None:
+        # A frame longer than the cap: the framing cannot be trusted any
+        # more, so answer and close.
+        self.server._note("malformed")
+        self.write(self.server._encode(PredictResponse.error(
+            None, f"frame exceeds {MAX_FRAME_BYTES} bytes")))
+        self.transport.close()
+
+    def write(self, frames: bytes) -> None:
+        if not self.transport.is_closing():
+            self.transport.write(frames)
 
 
 class PredictionServer:
@@ -143,16 +191,18 @@ class PredictionServer:
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
+        loop = asyncio.get_running_loop()
         if self._sock is not None:
-            self._server = await asyncio.start_server(
-                self._serve_connection, sock=self._sock,
-                limit=MAX_FRAME_BYTES + 2)
+            self._server = await loop.create_server(
+                self._connection, sock=self._sock)
         else:
-            self._server = await asyncio.start_server(
-                self._serve_connection, self.host, self._requested_port,
-                limit=MAX_FRAME_BYTES + 2,
+            self._server = await loop.create_server(
+                self._connection, self.host, self._requested_port,
                 reuse_port=self.reuse_port or None)
         self._batch_task = asyncio.create_task(self._batch_loop())
+
+    def _connection(self) -> _Connection:
+        return _Connection(self)
 
     @property
     def port(self) -> int:
@@ -171,7 +221,9 @@ class PredictionServer:
         """Graceful shutdown: stop listening, finish in-flight work.
 
         New frames on existing connections are shed while draining;
-        queued requests are still answered.  Idempotent.
+        queued requests are still answered.  Open connections stay
+        open (:meth:`wait_connections_closed` waits for them).
+        Idempotent.
         """
         if self._draining:
             await self._drained.wait()
@@ -179,8 +231,9 @@ class PredictionServer:
         self._draining = True
         obs.inc("serve.drain")
         if self._server is not None:
+            # Not followed by ``wait_closed``: from Python 3.12.1 on it
+            # also waits for every connection to close.
             self._server.close()
-            await self._server.wait_closed()
         await self._queue.join()
         if self._batch_task is not None:
             self._batch_task.cancel()
@@ -208,81 +261,38 @@ class PredictionServer:
             await asyncio.sleep(0.02)
         return True
 
-    # -- connection handling ---------------------------------------------------
+    # -- admission -------------------------------------------------------------
 
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(writer, self.policy.clock)
-        self._connections.add(conn)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except asyncio.CancelledError:
-                    # Event-loop shutdown while idle on readline.  Exit
-                    # normally: a handler task that ends cancelled makes
-                    # asyncio's stream machinery log a spurious error on
-                    # 3.11 (task.exception() on a cancelled task).
-                    break
-                except (ValueError, asyncio.LimitOverrunError):
-                    # Frame longer than the stream limit: we cannot
-                    # trust the framing any more, so answer and close.
-                    self._note("malformed")
-                    await conn.send(PredictResponse.error(
-                        None, f"frame exceeds {MAX_FRAME_BYTES} bytes"))
-                    break
-                except (ConnectionError, OSError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                if not await self._handle_frame(line, conn):
-                    break
-        finally:
-            self._connections.discard(conn)
-            if not writer.is_closing():
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (asyncio.CancelledError, ConnectionError, OSError):
-                    # A shutdown cancel caught at readline is re-raised
-                    # by the next await; absorbing it here lets the
-                    # handler task end normally (see above).
-                    pass
-
-    async def _handle_frame(self, line: bytes, conn: _Connection) -> bool:
-        """Parse/admit one frame; ``False`` ends the connection."""
+    def _handle_frame(self, line: bytes, conn: _Connection) -> None:
+        """Parse and admit one frame, or answer it at once."""
         started = self.policy.clock()
         try:
             request = PredictRequest.parse(line)
         except ProtocolError as error:
             self._note("malformed")
-            return await conn.send(
-                PredictResponse.error(error.request_id, error.reason))
+            conn.write(self._encode(
+                PredictResponse.error(error.request_id, error.reason)))
+            return
         obs.observe("serve.decode_ms", (self.policy.clock() - started) * 1e3)
         modes = faults.claim("serve-conn", request.id)
         if "drop" in modes:
             # Injected mid-request connection drop: the client sees a
             # reset, never a half-written frame.
             self._note("conn_drop")
-            conn.abort()
-            return False
+            conn.transport.abort()
+            return
         self._note("request")
         if self._draining:
-            self._note("shed")
-            return await conn.send(
-                PredictResponse.shed(request.id, "server draining"))
-        item = self.policy.admit(request, context=conn)
-        try:
-            self._queue.put_nowait(item)
-        except asyncio.QueueFull:
-            self._note("shed")
+            reason = "server draining"
+        elif self._queue.full():
             obs.inc("serve.shed_queue_full")
-            return await conn.send(PredictResponse.shed(
-                request.id, f"admission queue full ({self.queue_limit})"))
-        obs.set_gauge("serve.queue_depth", float(self._queue.qsize()))
-        return True
+            reason = f"admission queue full ({self.queue_limit})"
+        else:
+            self._queue.put_nowait(self.policy.admit(request, context=conn))
+            obs.set_gauge("serve.queue_depth", float(self._queue.qsize()))
+            return
+        self._note("shed")
+        conn.write(self._encode(PredictResponse.shed(request.id, reason)))
 
     # -- batching --------------------------------------------------------------
 
@@ -306,6 +316,8 @@ class PredictionServer:
                     self._queue.task_done()
 
     async def _answer_batch(self, pending: list[PendingRequest]) -> None:
+        """Answer one batch.  It awaits nothing unless the engine enacts
+        an injected hang or slow batch."""
         self._batch_seq += 1
         batch_key = str(self._batch_seq)
         obs.observe("serve.batch_size", float(len(pending)))
@@ -314,7 +326,6 @@ class PredictionServer:
         for item in pending:
             obs.observe("serve.queue_wait_ms", (now - item.arrival) * 1e3)
         eligible, expired = self.policy.split_expired(pending, now)
-        sends: list[Awaitable[None]] = []
         if expired:
             # Deadline-aware early fallback: these can no longer afford
             # the engine budget, so a degraded answer *now* beats an
@@ -322,29 +333,38 @@ class PredictionServer:
             configs, tier = self.ladder.fallback(
                 [item.request.program for item in expired])
             obs.inc("serve.deadline_fallback", len(expired))
-            sends.extend(self._respond(item, config, tier)
-                         for item, config in zip(expired, configs))
+            self._respond(expired, configs, tier)
         if eligible:
             configs, tier = await self.ladder.answer(
                 [item.request.features for item in eligible],
                 [item.request.program for item in eligible],
                 batch_key)
-            sends.extend(self._respond(item, config, tier)
-                         for item, config in zip(eligible, configs))
-        if sends:
-            await asyncio.gather(*sends)
+            self._respond(eligible, configs, tier)
 
-    async def _respond(self, item: PendingRequest, config: MicroarchConfig,
-                       tier: str) -> None:
-        now = self.policy.clock()
-        if item.deadline is not None and now > item.deadline:
-            self._note("deadline_miss")
-        obs.observe("serve.latency_ms", (now - item.arrival) * 1000.0)
-        self._note("ok")
-        self.tier_counts[tier] += 1
-        conn = item.context
-        if isinstance(conn, _Connection):
-            await conn.send(PredictResponse.ok(item.request.id, config, tier))
+    def _respond(self, items: Sequence[PendingRequest],
+                 configs: Sequence[MicroarchConfig], tier: str) -> None:
+        """Encode each answer; one write per connection."""
+        frames: dict[_Connection, list[bytes]] = {}
+        for item, config in zip(items, configs):
+            now = self.policy.clock()
+            if item.deadline is not None and now > item.deadline:
+                self._note("deadline_miss")
+            obs.observe("serve.latency_ms", (now - item.arrival) * 1e3)
+            self._note("ok")
+            self.tier_counts[tier] += 1
+            conn = item.context
+            if (isinstance(conn, _Connection)
+                    and not conn.transport.is_closing()):
+                frames.setdefault(conn, []).append(self._encode(
+                    PredictResponse.ok(item.request.id, config, tier)))
+        for conn, lines in frames.items():
+            conn.write(b"".join(lines))
+
+    def _encode(self, response: PredictResponse) -> bytes:
+        started = self.policy.clock()
+        frame = response.encode()
+        obs.observe("serve.encode_ms", (self.policy.clock() - started) * 1e3)
+        return frame
 
     # -- accounting ------------------------------------------------------------
 

@@ -7,6 +7,7 @@ exercises at larger scale.
 
 import asyncio
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -14,7 +15,12 @@ import pytest
 from repro.config import PROFILING_CONFIG, TABLE1_PARAMETERS
 from repro.model.predictor import ConfigurationPredictor
 from repro.model.serialize import save_weight_store
-from repro.serving import PredictResponse, build_service
+from repro.serving import (
+    MicroBatchPolicy,
+    PredictionServer,
+    PredictResponse,
+    build_service,
+)
 
 FEATURE_DIM = 8
 
@@ -181,6 +187,45 @@ class TestWorkConservingBatches:
         assert batches == [["r0"], ["r1", "r2", "r3", "r4"],
                            ["r5", "r6", "r7", "r8"], ["r9", "r10"]]
         assert all(r.status == "ok" for r in responses)
+
+
+class TestSinglePass:
+    def test_lone_requests_create_no_task(self, store_path, features):
+        async def scenario():
+            created = []
+
+            def counting_factory(loop, coro, **kwargs):
+                created.append(coro.__qualname__)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            asyncio.get_running_loop().set_task_factory(counting_factory)
+            server = build_service(store_path)  # stock settings
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+
+            async def ask(n: int) -> PredictResponse:
+                writer.write(json.dumps(
+                    {"id": f"r{n}", "features": list(features[n % 6])}
+                ).encode() + b"\n")
+                return PredictResponse.decode(await reader.readline())
+
+            await ask(0)  # arms the engine
+            before = len(created)
+            responses = [await ask(n) for n in range(1, 21)]
+            per_request = created[before:]
+            writer.close()
+            await writer.wait_closed()
+            await server.drain()
+            return server, responses, per_request
+
+        server, responses, per_request = asyncio.run(
+            asyncio.wait_for(scenario(), timeout=30.0))
+        assert [r.status for r in responses] == ["ok"] * 20
+        assert server.stats()["batches"] == 21  # every request alone
+        # Frames are read in a protocol callback and each batch is
+        # answered inline: no Task per request or per batch.
+        assert per_request == []
 
 
 class TestMalformedFrames:
@@ -425,6 +470,91 @@ class TestBackpressure:
         # Everyone else still got an answer (degraded, but on time).
         assert len(by_status.get("ok", [])) + len(by_status["shed"]) == 4
         assert server.stats()["shed"] >= 1
+
+
+class TestAdmission:
+    def test_shed_request_is_never_admitted(
+            self, store_path, features, tmp_path, monkeypatch):
+        # Wedge the engine so the one-deep queue stays full.
+        monkeypatch.setenv("REPRO_FAULTS", "hang@serve-engine:**inf")
+        monkeypatch.setenv("REPRO_FAULTS_DIR", str(tmp_path / "faults"))
+
+        class SpyPolicy(MicroBatchPolicy):
+            def __init__(self, **kwargs) -> None:
+                super().__init__(**kwargs)
+                self.admitted = []
+
+            def admit(self, request, context=None):
+                self.admitted.append(request.id)
+                return super().admit(request, context)
+
+        async def scenario():
+            ladder = service(store_path, engine_budget_s=0.3).ladder
+            policy = SpyPolicy(engine_budget_s=0.3)
+            server = PredictionServer(ladder, policy=policy, queue_limit=1)
+            await server.start()
+            responses = await send_frames(server.port, [
+                {"id": f"r{n}", "features": list(features[n]),
+                 "program": "mcf"} for n in range(4)])
+            await server.drain()
+            return policy.admitted, responses
+
+        admitted, responses = asyncio.run(scenario())
+        shed = {r.id for r in responses if r.status == "shed"}
+        assert shed, "expected the full queue to shed"
+        assert shed.isdisjoint(admitted)
+        assert {r.id for r in responses if r.status == "ok"} == set(admitted)
+
+
+class TestSlowReader:
+    def test_client_that_stops_reading_stalls_only_itself(
+            self, store_path, features):
+        budget_s = 0.25
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            server = service(store_path, engine_budget_s=budget_s)
+            await server.start()
+            # Accepted sockets inherit the listener's send buffer, so the
+            # stalled client's answers back up after a few dozen frames.
+            server._server.sockets[0].setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
+            sock.setblocking(False)
+            await loop.sock_connect(sock, ("127.0.0.1", server.port))
+            _, stalled = await asyncio.open_connection(sock=sock)
+            stalled.write(b"".join(json.dumps(
+                {"id": f"a{n}", "features": list(features[n % 6])}
+            ).encode() + b"\n" for n in range(3000)))  # and never read
+            seen = -1
+            while server.stats()["requests"] != seen:
+                seen = server.stats()["requests"]
+                await asyncio.sleep(0.1)
+
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            ok_before = server.stats()["ok"]
+            responses, waits = [], []
+            for n in range(20):
+                started = loop.time()
+                writer.write(json.dumps(
+                    {"id": f"b{n}", "features": list(features[n % 6])}
+                ).encode() + b"\n")
+                responses.append(PredictResponse.decode(
+                    await asyncio.wait_for(reader.readline(), timeout=5.0)))
+                waits.append(loop.time() - started)
+            ok_after = server.stats()["ok"]
+            stalled.transport.abort()
+            writer.close()
+            await writer.wait_closed()
+            await asyncio.wait_for(server.drain(), timeout=5.0)
+            return responses, waits, ok_before, ok_after
+
+        responses, waits, ok_before, ok_after = asyncio.run(scenario())
+        assert [r.status for r in responses] == ["ok"] * 20
+        assert max(waits) < budget_s
+        assert ok_after >= ok_before + 20
 
 
 class TestDrain:

@@ -9,6 +9,7 @@ reload that is all-or-nothing under corruption.
 """
 
 import json
+import logging
 import os
 import signal
 import socket as socketlib
@@ -21,7 +22,7 @@ import pytest
 from repro.config import TABLE1_PARAMETERS
 from repro.model.predictor import ConfigurationPredictor
 from repro.model.serialize import load_weight_store, save_weight_store
-from repro.serving import PredictResponse
+from repro.serving import PredictResponse, frontend
 from repro.serving.frontend import (
     ShardSupervisor,
     default_shard_count,
@@ -140,12 +141,37 @@ class TestFleetTopology:
         assert codes == {0: 0, 1: 0}
 
     def test_default_shard_count_reads_env(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
         monkeypatch.setenv("REPRO_SERVE_SHARDS", "4")
         assert default_shard_count() == 4
         monkeypatch.setenv("REPRO_SERVE_SHARDS", "garbage")
         assert default_shard_count() == 1
         monkeypatch.delenv("REPRO_SERVE_SHARDS")
         assert default_shard_count() == 1
+
+    def test_default_shard_count_caps_at_usable_cpus(
+            self, monkeypatch, caplog, store):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("REPRO_SERVE_SHARDS", "7")
+        frontend._log_cap.cache_clear()
+        with caplog.at_level(logging.WARNING, logger=frontend.__name__):
+            assert default_shard_count() == 2
+            assert default_shard_count() == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "REPRO_SERVE_SHARDS=7 exceeds the 2 usable CPUs: "
+            "running 2 shards"]
+        monkeypatch.setenv("REPRO_SERVE_SHARDS", "2")
+        assert default_shard_count() == 2
+        # Without an affinity API the CPU count is the cap.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("REPRO_SERVE_SHARDS", "7")
+        assert default_shard_count() == 3
+        # An explicit fleet size still overcommits.
+        assert ShardSupervisor(store, shards=5).n_shards == 5
+        assert ShardSupervisor(store).n_shards == 3
 
 
 class TestSupervision:
