@@ -26,7 +26,10 @@ warmup is a once-per-pool cost (measured separately as
 ``workers{N}_seconds - pool_warmup_seconds`` against the serial build
 and fails only when that steady-state time diverges beyond tolerance —
 a raw ``workers2 > serial`` at small scales is pool amortisation, not
-an engine regression.  The gate binds only when the machine has at
+an engine regression.  One pair of builds is too noisy to judge, so
+both builds run ``--repeats`` times, alternating which runs first; the
+gate reads the median of the pairs' steady ratios, and every pair is
+in the report.  The gate binds only when the machine has at
 least ``--workers`` cores: on an overcommitted box the fan-out has no
 parallelism available and pays pure IPC overhead, which is recorded
 but is not a regression.
@@ -151,7 +154,10 @@ def measure_pool_warmup(scale: ReproScale, workers: int) -> float:
         return time.perf_counter() - t0
 
 
-def bench_pipeline(scale: ReproScale, workers: int) -> dict:
+def bench_pipeline(scale: ReproScale, workers: int, repeats: int) -> dict:
+    """Serial and ``workers``-process builds into fresh caches,
+    ``repeats`` pairs of them, each pair in the other order than the
+    last.  Times are medians; ``pairs`` keeps every pair."""
     def run(n_workers: int) -> tuple[float, dict[str, float]]:
         with tempfile.TemporaryDirectory() as directory:
             pipeline = ExperimentPipeline(
@@ -165,23 +171,40 @@ def bench_pipeline(scale: ReproScale, workers: int) -> dict:
             # bit-identical numbers.
             return elapsed, pipeline.suite_ratios(pipeline.oracle)
 
-    serial_seconds, serial_ratios = run(1)
+    sides = [1, workers] if workers > 1 else [1]
+    seconds: dict[int, list[float]] = {n: [] for n in sides}
+    ratios = []
+    for pair in range(repeats):
+        for n_workers in (sides if pair % 2 == 0 else sides[::-1]):
+            elapsed, suite_ratios = run(n_workers)
+            seconds[n_workers].append(elapsed)
+            ratios.append(suite_ratios)
     result = {
         "scale": scale.tag,
         "phases": len(scale.benchmarks or ()) * scale.n_phases or None,
-        "serial_seconds": serial_seconds,
-        "parity_ok": True,
+        "repeats": repeats,
+        "serial_seconds": statistics.median(seconds[1]),
+        "parity_ok": all(r == ratios[0] for r in ratios),
     }
     if workers > 1:
-        worker_seconds, worker_ratios = run(workers)
         warmup_seconds = measure_pool_warmup(scale, workers)
-        steady_seconds = max(worker_seconds - warmup_seconds, 0.0)
-        result[f"workers{workers}_seconds"] = worker_seconds
+        steady = [max(t - warmup_seconds, 0.0) for t in seconds[workers]]
+        pairs = [
+            {"serial_first": pair % 2 == 0, "serial_seconds": serial,
+             f"workers{workers}_seconds": fanout,
+             "steady_ratio": steady_s / serial if serial else None}
+            for pair, (serial, fanout, steady_s) in enumerate(
+                zip(seconds[1], seconds[workers], steady))
+        ]
+        pair_ratios = [p["steady_ratio"] for p in pairs
+                       if p["steady_ratio"] is not None]
+        result[f"workers{workers}_seconds"] = statistics.median(
+            seconds[workers])
         result["pool_warmup_seconds"] = warmup_seconds
-        result[f"workers{workers}_steady_seconds"] = steady_seconds
+        result[f"workers{workers}_steady_seconds"] = statistics.median(steady)
         result["steady_ratio_vs_serial"] = (
-            steady_seconds / serial_seconds if serial_seconds else None)
-        result["parity_ok"] = worker_ratios == serial_ratios
+            statistics.median(pair_ratios) if pair_ratios else None)
+        result["pairs"] = pairs
     return result
 
 
@@ -197,7 +220,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="stage-1 pool size to price (default 1000)")
     parser.add_argument("--trace-length", type=positive, default=8000)
     parser.add_argument("--repeats", type=positive, default=3,
-                        help="timing repetitions; median is reported")
+                        help="timing repetitions (evaluator runs and "
+                             "pipeline build pairs); medians are reported")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker count for the pipeline fan-out timing")
     parser.add_argument("--smoke", action="store_true",
@@ -239,15 +263,18 @@ def main(argv: list[str] | None = None) -> int:
             scale = scale.with_(benchmarks=("mcf", "swim"), n_phases=2,
                                 phase_trace_length=1000, pool_size=8,
                                 neighbour_count=4)
-        pipeline = bench_pipeline(scale, args.workers)
+        pipeline = bench_pipeline(scale, args.workers, args.repeats)
         report["pipeline"] = pipeline
-        print(f"pipeline ({pipeline['scale']}): "
+        print(f"pipeline ({pipeline['scale']}, median of {args.repeats}): "
               f"{pipeline['serial_seconds']:.1f}s serial"
               + (f", {pipeline[f'workers{args.workers}_seconds']:.1f}s "
                  f"on {args.workers} workers "
                  f"({pipeline[f'workers{args.workers}_steady_seconds']:.1f}s "
                  f"steady after "
-                 f"{pipeline['pool_warmup_seconds']:.1f}s pool warmup)"
+                 f"{pipeline['pool_warmup_seconds']:.1f}s pool warmup); "
+                 f"steady ratios "
+                 + ", ".join(f"{p['steady_ratio']:.3f}"
+                             for p in pipeline["pairs"])
                  if args.workers > 1 else ""))
 
     args.output.write_text(json.dumps(report, indent=2) + "\n")
@@ -280,7 +307,8 @@ def main(argv: list[str] | None = None) -> int:
         if steady_ratio is not None and steady_ratio > MAX_STEADY_FANOUT_RATIO:
             failures.append(
                 f"steady-state fan-out {steady_ratio:.2f}x the serial build "
-                f"(> {MAX_STEADY_FANOUT_RATIO}x after excluding the "
+                f"(median of {args.repeats} pairs; > "
+                f"{MAX_STEADY_FANOUT_RATIO}x after excluding the "
                 f"once-per-pool warmup)"
             )
     for failure in failures:

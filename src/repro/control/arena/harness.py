@@ -5,8 +5,9 @@ The :class:`Arena` is the one statement of the paper's figure 2 loop
 :class:`~repro.control.arena.policy.AdaptivityPolicy` through it with
 identical accounting:
 
-* a fresh online :class:`~repro.phases.detector.PhaseDetector` per run
-  (deterministic given the traces) reports phase changes;
+* an online :class:`~repro.phases.detector.PhaseDetector` reports phase
+  changes; a detector is deterministic given the traces, so it runs
+  once per program per arena and every run reads the same verdicts;
 * intervals are priced by the scalar
   :class:`~repro.timing.interval.IntervalEvaluator` over memoised
   characterizations (:meth:`Arena.evaluate`);
@@ -70,7 +71,7 @@ from repro.counters.features import (
     BasicFeatureExtractor,
     FeatureExtractor,
 )
-from repro.phases.detector import PhaseDetector, signature_of
+from repro.phases.detector import Observation, PhaseDetector, signature_of
 from repro.power.metrics import EfficiencyResult, energy_efficiency
 from repro.timing.characterize import TraceCharacterization, characterize
 from repro.timing.interval import IntervalEvaluator
@@ -309,7 +310,9 @@ class Arena:
             computed against (and a guaranteed member of the oracle's
             configuration set).
         max_intervals: cap per program (``None`` = whole schedule).
-        detector_factory: builds the per-run phase detector.
+        detector_factory: builds the phase detector.  It runs once per
+            program per arena, and every run of that program reads the
+            same verdicts.
         store: optional :class:`~repro.experiments.datastore.DataStore`;
             when given, per-(policy, program, scenario) runs are cached
             under ``cache_tag`` and served from disk on re-runs.
@@ -348,6 +351,7 @@ class Arena:
         self._counters: dict[tuple[str, int], PhaseCounters] = {}
         self._features: dict[tuple[str, int, str], np.ndarray] = {}
         self._signatures: dict[tuple[str, int], np.ndarray] = {}
+        self._observations: dict[str, list[Observation]] = {}
         self._evals: dict[tuple[str, int, MicroarchConfig],
                           EfficiencyResult] = {}
         self._costs: dict[tuple[MicroarchConfig, MicroarchConfig],
@@ -421,6 +425,21 @@ class Arena:
             self._signatures[key] = signature
         return signature
 
+    def _program_observations(self, program: str) -> list[Observation]:
+        """The detector's verdict on every interval of ``program``, from
+        one pass of a fresh detector: verdicts depend on the traces
+        alone, so every run of the program shares them."""
+        observations = self._observations.get(program)
+        if observations is None:
+            n = self._intervals(program)
+            with obs.span("arena.detect", program=program, intervals=n):
+                detector = self.detector_factory()
+                detector.reset()
+                observations = [detector.observe(self._trace(program, i))
+                                for i in range(n)]
+            self._observations[program] = observations
+        return observations
+
     def _cost(self, source: MicroarchConfig,
               target: MicroarchConfig) -> ReconfigurationCost:
         key = (source, target)
@@ -481,8 +500,7 @@ class Arena:
 
     def _run_policy_live(self, policy: AdaptivityPolicy, program: str,
                          scenario: ArenaScenario) -> PolicyRunReport:
-        detector = self.detector_factory()
-        detector.reset()
+        observations = self._program_observations(program)
         policy.reset(program)
         run = PolicyRunReport(policy=policy.name, program=program,
                               scenario=scenario.name, records=[],
@@ -491,8 +509,7 @@ class Arena:
         interval_length = self.programs[program].interval_length
         with obs.span("arena.run_policy", policy=policy.name,
                       program=program, scenario=scenario.name):
-            for interval in range(self._intervals(program)):
-                observation = detector.observe(self._trace(program, interval))
+            for interval, observation in enumerate(observations):
                 view = PolicyView(
                     interval=interval,
                     observation=observation,

@@ -47,9 +47,10 @@ def signature_distance(a: np.ndarray, b: np.ndarray) -> float:
     return int(np.logical_xor(a, b).sum()) / union
 
 
-@dataclass
+@dataclass(frozen=True)
 class Observation:
-    """The detector's verdict for one interval."""
+    """The detector's verdict for one interval (immutable: the arena
+    shares one verdict between every run of a program)."""
 
     phase_changed: bool
     phase_id: int  # stable id of the recognised (or new) phase

@@ -1,10 +1,15 @@
 """Tests for the full arena harness against the real timing/power models."""
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.config import DesignSpace, PROFILING_CONFIG
 from repro.control.arena import (
+    AdaptivityPolicy,
     Arena,
     ArenaRewardError,
     ArenaScenario,
@@ -20,6 +25,9 @@ from repro.control.arena import (
 from repro.counters import BasicFeatureExtractor
 from repro.experiments.datastore import DataStore
 from repro.model import ConfigurationPredictor
+from repro.obs.shards import read_records, shard_path
+from repro.phases.bbv_detector import BBVPhaseDetector
+from repro.phases.detector import Observation, PhaseDetector
 from repro.workloads import PhaseSpec, Program
 
 from tests.reference_controller import run_reference_controller
@@ -300,3 +308,91 @@ class TestConstruction:
         for record in run.records:
             if record.profiled:
                 assert record.config == PROFILING_CONFIG
+
+
+class RecordingPolicy(AdaptivityPolicy):
+    """Answers like ``inner`` and keeps, per run, every verdict it saw."""
+
+    def __init__(self, inner: AdaptivityPolicy, name: str) -> None:
+        self.inner = inner
+        self.name = name
+        self.runs: list[tuple[str, list[Observation]]] = []
+
+    def reset(self, program):
+        self.inner.reset(program)
+        self.runs.append((program, []))
+
+    def decide(self, view):
+        self.runs[-1][1].append(view.observation)
+        return self.inner.decide(view)
+
+    def update(self, feedback):
+        self.inner.update(feedback)
+
+
+class TestSharedVerdicts:
+    """The detector runs once per program per arena, and every run reads
+    the verdicts a fresh detector gives on the same traces."""
+
+    INTERVALS = 12
+
+    def fresh_verdicts(self, arena, program, detector):
+        return [detector.observe(arena.programs[program].interval_trace(i))
+                for i in range(self.INTERVALS)]
+
+    @pytest.mark.parametrize("factory", [PhaseDetector, BBVPhaseDetector])
+    def test_every_run_sees_a_fresh_detectors_verdicts(
+            self, quick_pipeline, arms, baseline_config, factory):
+        arena = Arena(quick_pipeline.programs, baseline_config,
+                      max_intervals=self.INTERVALS, detector_factory=factory)
+        recorders = [
+            RecordingPolicy(StaticPolicy(baseline_config), "rec-static"),
+            RecordingPolicy(EpsilonGreedyPolicy(arms, seed=1), "rec-greedy"),
+        ]
+        for scenario in (PAPER, COSTLY):
+            arena.league(recorders, scenario)
+        expected = {program: self.fresh_verdicts(arena, program, factory())
+                    for program in arena.programs}
+        for recorder in recorders:
+            assert len(recorder.runs) == 2 * len(arena.programs)
+            for program, seen in recorder.runs:
+                assert seen == expected[program], (recorder.name, program)
+
+    def test_detector_is_built_once_per_program(self, program,
+                                                baseline_config,
+                                                trained_predictor):
+        built = []
+
+        def counting_factory():
+            built.append(1)
+            return PhaseDetector()
+
+        other = Program(name="ar2", phase_specs=program.phase_specs,
+                        schedule=(1, 1, 0, 0), interval_length=3000, seed=5)
+        arena = Arena({"ar": program, "ar2": other}, baseline_config,
+                      detector_factory=counting_factory)
+        policies = [StaticPolicy(baseline_config),
+                    softmax(trained_predictor)]
+        for scenario in (PAPER, FREE):
+            arena.league(policies, scenario)
+        arena.run_policy(softmax(trained_predictor), "ar", COSTLY)
+        assert len(built) == 2
+
+    def test_detect_span_once_per_program(self, program, baseline_config,
+                                          tmp_path):
+        obs.configure(enabled=True, directory=str(tmp_path))
+        try:
+            arena = Arena({"ar": program}, baseline_config)
+            for scenario in (PAPER, FREE):
+                arena.run_policy(StaticPolicy(baseline_config), "ar",
+                                 scenario)
+            records = list(read_records(shard_path(tmp_path, os.getpid())))
+        finally:
+            obs.reset_from_env()
+        assert [r["attrs"] for r in records if r["name"] == "arena.detect"
+                ] == [{"program": "ar", "intervals": program.n_intervals}]
+
+    def test_observations_are_immutable(self):
+        observation = Observation(True, 0, True, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            observation.phase_id = 1

@@ -43,7 +43,12 @@ from repro.timing.caches import (
     set_reuse_distances,
     stack_distances,
 )
-from repro.timing.characterize import WINDOW_GRID, _critical_paths, characterize
+from repro.timing.characterize import (
+    WINDOW_GRID,
+    _critical_paths,
+    _dp_layout,
+    characterize,
+)
 from repro.timing.resources import OpClass
 from repro.workloads.generator import PhaseSpec, TraceGenerator
 from repro.workloads.trace import Trace
@@ -223,6 +228,34 @@ class TestCharacterizeKernels:
         windows, ops, weighted = _critical_paths(trace)
         assert windows == expected_windows(n)
         assert (ops, weighted) == ref.critical_paths(trace, windows)
+
+    @staticmethod
+    def assert_reference_paths(trace):
+        windows, ops, weighted = _critical_paths(trace)
+        assert windows == expected_windows(len(trace))
+        assert (ops, weighted) == ref.critical_paths(trace, windows)
+
+    def test_layout_shared_by_traces_of_one_length(self):
+        """The DP layout is built once per length and reused: back-to-back
+        traces of one length, and the same length again after another,
+        all equal the reference."""
+        generator = TraceGenerator(PhaseSpec(name="kern-layout"))
+        _dp_layout.cache_clear()
+        for length, seed in ((1000, 1), (1000, 2), (777, 3), (1000, 4)):
+            self.assert_reference_paths(
+                generator.generate(length, stream_seed=seed))
+        assert _dp_layout.cache_info().hits == 2
+
+    def test_layout_of_a_trace_spanning_two_chunks(self):
+        trace = TraceGenerator(PhaseSpec(name="kern-chunks")).generate(
+            13441, stream_seed=5)
+        self.assert_reference_paths(trace)
+        self.assert_reference_paths(trace)
+
+    def test_cached_layout_is_read_only(self):
+        for array in _dp_layout(1000, expected_windows(1000)):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     @settings(max_examples=40, deadline=None)
     @given(traces(), st.one_of(st.none(), traces()))
